@@ -411,9 +411,12 @@ FleetResult Fleet::Run(const RootCauseCheck& root_cause_check) {
           ++overhead_samples;
         }
         const uint32_t recurrences_before = server_.failure_recurrences();
+        // Bytes that will not deserialize are quarantined like a trace the
+        // server's validation rejects: counted, never ingested.
         Result<RunTrace> shipped = DeserializeRunTrace(shipped_bytes);
-        GIST_CHECK(shipped.ok()) << shipped.error().message();
-        const GistServer::TraceIngest ingest = server_.AddTrace(std::move(*shipped));
+        const GistServer::TraceIngest ingest = shipped.ok()
+                                                   ? server_.AddTrace(std::move(*shipped))
+                                                   : GistServer::TraceIngest::kQuarantined;
         if (ingest == GistServer::TraceIngest::kQuarantined) {
           ++stats.quarantined_runs;
           if (recorder != nullptr) {

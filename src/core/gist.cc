@@ -47,6 +47,7 @@ void GistServer::ReportFailure(const FailureReport& report) {
   slice_ = *GetOrComputeSlice(options_.store, *ticfg_, module_hash_, report.failing_instr);
   ast_ = std::make_unique<AstController>(slice_, options_.initial_sigma, options_.ast_growth);
   traces_.clear();
+  failing_summaries_.clear();
   behavior_.Reset();
   discovered_.clear();
   failure_recurrences_ = 0;
@@ -86,8 +87,15 @@ GistServer::TraceIngest GistServer::AddTrace(RunTrace trace) {
   // store the decode itself may be a cache hit — the counters still add the
   // (cached) stream's stats, so the metrics export is identical either way,
   // and sketch builds later hit the same keys.
+  //
+  // Watch events are untrusted too: an instruction id outside the module
+  // would index past the module's tables (refinement, replanning, the
+  // executed-set summary), so any such id quarantines the trace before
+  // anything reads it.
+  bool quarantine = std::any_of(
+      trace.watch_events.begin(), trace.watch_events.end(),
+      [&](const WatchEvent& event) { return event.instr >= module_.num_instructions(); });
   uint64_t upload_bytes = 0;
-  bool quarantine = false;
   std::vector<std::shared_ptr<const PtDecodeResult>> decoded;
   decoded.reserve(trace.pt_buffers.size());
   for (size_t core = 0; core < trace.pt_buffers.size(); ++core) {
@@ -125,6 +133,10 @@ GistServer::TraceIngest GistServer::AddTrace(RunTrace trace) {
   if (trace.failed) {
     ++failure_recurrences_;
     *ingest_.recurrences += 1;
+    // Ingest-once summary (DESIGN.md §15): the executed-instruction bitset
+    // is all reference-run selection reads, so sketch builds never decode
+    // this trace again unless it becomes the reference.
+    failing_summaries_.push_back(SummarizeFailingTrace(module_, traces_.size(), decoded));
   }
 
   // Data-flow refinement: watchpoint-caught statements outside the static
@@ -177,6 +189,7 @@ Result<FailureSketch> GistServer::BuildSketch() const {
   sketch_options.store = options_.store;
   sketch_options.module_hash = module_hash_;
   sketch_options.behavior = &behavior_;
+  sketch_options.failing_summaries = &failing_summaries_;
   sketch_options.shadow_check = stats_shadow_;
   Result<FailureSketch> sketch =
       BuildFailureSketch(module_, plan_.window, traces_, sketch_options);
@@ -184,6 +197,7 @@ Result<FailureSketch> GistServer::BuildSketch() const {
   if (sketch.ok()) {
     metrics_.Add("stats.predictor_evaluations",
                  static_cast<uint64_t>(sketch->predictors_evaluated));
+    metrics_.Add("stats.sketch_pt_decodes", sketch->pt_decodes);
   }
   return sketch;
 }

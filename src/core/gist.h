@@ -61,10 +61,12 @@ struct GistOptions {
   // Superinstruction selection policy; `super.min_block_retired = 0` fuses
   // every fusable block (the deopt-stress configuration tests use).
   SuperInstrOptions super;
-  // Shadow mode for the streaming statistics (DESIGN.md §14): every sketch
-  // build additionally runs the batch recompute over the stored traces and
-  // CHECK-fails unless it fingerprints byte-identically to the incremental
-  // aggregation. OR-ed with the GIST_STATS_SHADOW=1 environment variable.
+  // Shadow mode for the streaming statistics (DESIGN.md §14, §15): every
+  // sketch build additionally runs the batch recompute over the stored
+  // traces and CHECK-fails unless it fingerprints byte-identically to the
+  // incremental aggregation and picks the same reference run as the
+  // ingest-time summaries. OR-ed with the GIST_STATS_SHADOW=1 environment
+  // variable.
   bool stats_shadow = false;
 };
 
@@ -160,9 +162,12 @@ class GistServer {
   //
   // Validation (DESIGN.md §8): the server decodes every PT stream before
   // admitting a trace. Uploads with undecodable streams — truncated or
-  // bit-corrupted in production or in transit — are quarantined: they never
-  // reach the statistics, the sketch, or the recurrence count, so one rotten
-  // trace cannot poison an iteration's diagnosis.
+  // bit-corrupted in production or in transit — or with a watch event naming
+  // an instruction outside the module are quarantined: they never reach the
+  // statistics, the sketch, or the recurrence count, so one rotten trace
+  // cannot poison an iteration's diagnosis. An accepted failing trace is
+  // also reduced to its executed-instruction bitset (DESIGN.md §15), which
+  // sketch builds use to pick the reference run without re-decoding.
   //
   // Refinement (§3.2.3): statements the watchpoints caught that the static
   // slice missed are *added to the slice* — subsequent plans track them with
@@ -237,6 +242,9 @@ class GistServer {
   InstrumentationPlan plan_;
   uint64_t plan_version_ = 0;
   std::vector<RunTrace> traces_;
+  // One executed-instruction summary per accepted failing trace, in
+  // traces_ order (DESIGN.md §15).
+  std::vector<FailingTraceSummary> failing_summaries_;
   BehaviorStats behavior_;
   bool stats_shadow_ = false;
   std::vector<InstrId> discovered_;

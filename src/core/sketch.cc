@@ -1,6 +1,7 @@
 #include "src/core/sketch.h"
 
 #include <algorithm>
+#include <bit>
 #include <map>
 #include <set>
 
@@ -59,8 +60,8 @@ std::vector<const DecodedCoreTrace*> TraceViews(
 }
 
 // Cache key for one trace's extracted predictor set: a pure function of
-// (module, PT buffers, watch log). Without a cache every sketch rebuild
-// re-extracts all accumulated traces, which is quadratic across iterations.
+// (module, PT buffers, watch log), shared by ingest and batch-path sketch
+// builds.
 ArtifactKey PredictorsKey(const ContentHash& module_hash, const RunTrace& trace) {
   uint64_t hi = module_hash.hi;
   uint64_t lo = module_hash.lo;
@@ -95,102 +96,150 @@ std::shared_ptr<const std::vector<Predictor>> GetOrExtractTracePredictors(
                                                          &module, approx_bytes, build);
 }
 
+FailingTraceSummary SummarizeFailingTrace(
+    const Module& module, size_t trace_index,
+    const std::vector<std::shared_ptr<const PtDecodeResult>>& decoded) {
+  return FailingTraceSummary{trace_index, ExecutedInstrBits(module, TraceViews(decoded))};
+}
+
+namespace {
+
+// Decodes every core of `trace`; counts the decodes into `*pt_decodes`.
+// Returns nothing when a stream is corrupt.
+std::optional<std::vector<std::shared_ptr<const PtDecodeResult>>> DecodeTrace(
+    const Module& module, const SketchOptions& options, const RunTrace& trace,
+    uint64_t* pt_decodes) {
+  std::vector<std::shared_ptr<const PtDecodeResult>> decoded;
+  decoded.reserve(trace.pt_buffers.size());
+  for (size_t core = 0; core < trace.pt_buffers.size(); ++core) {
+    ++*pt_decodes;
+    std::shared_ptr<const PtDecodeResult> one =
+        GetOrDecodePt(options.store, module, options.module_hash, static_cast<CoreId>(core),
+                      trace.pt_buffers[core]);
+    if (!one->ok()) {
+      return std::nullopt;
+    }
+    decoded.push_back(std::move(one));
+  }
+  return decoded;
+}
+
+// The reference failing run used for layout: the failing run whose PT trace
+// covers the most of the *current* window. Traces accumulate across AsT
+// iterations, and early-iteration runs executed under narrower plans —
+// judging them by raw watch-event counts alone would let a stale σ=2 trace
+// outrank every wider-σ recurrence forever, hiding statements the grown
+// window now tracks. Coverage ties break toward the most captured data
+// flow, then toward the most recent run. Returns an index into `summaries`.
+std::optional<size_t> SelectReferenceRun(const Module& module,
+                                         const std::vector<InstrId>& window,
+                                         const std::vector<RunTrace>& traces,
+                                         const std::vector<FailingTraceSummary>& summaries) {
+  InstrBitset window_bits((module.num_instructions() + 63) / 64, 0);
+  for (InstrId id : window) {
+    if (id < module.num_instructions()) {
+      window_bits[id / 64] |= uint64_t{1} << (id % 64);
+    }
+  }
+  std::optional<size_t> reference;
+  size_t reference_coverage = 0;
+  for (size_t i = 0; i < summaries.size(); ++i) {
+    const InstrBitset& executed = summaries[i].executed;
+    size_t coverage = 0;
+    for (size_t word = 0; word < window_bits.size() && word < executed.size(); ++word) {
+      coverage += static_cast<size_t>(std::popcount(window_bits[word] & executed[word]));
+    }
+    bool better = !reference.has_value();
+    if (!better && coverage != reference_coverage) {
+      better = coverage > reference_coverage;
+    } else if (!better) {
+      better = traces[summaries[i].trace_index].watch_events.size() >=
+               traces[summaries[*reference].trace_index].watch_events.size();
+    }
+    if (better) {
+      reference = i;
+      reference_coverage = coverage;
+    }
+  }
+  return reference;
+}
+
+}  // namespace
+
 Result<FailureSketch> BuildFailureSketch(const Module& module,
                                          const std::vector<InstrId>& window,
                                          const std::vector<RunTrace>& traces,
                                          const SketchOptions& options) {
-  // Decode every trace's PT buffers once; feed the statistics. Along the way
-  // locate the reference failing run used for layout: the failing run whose
-  // PT trace covers the most of the *current* window. Traces accumulate
-  // across AsT iterations, and early-iteration runs executed under narrower
-  // plans — judging them by raw watch-event counts alone would let a stale
-  // σ=2 trace outrank every wider-σ recurrence forever, hiding statements
-  // the grown window now tracks. Coverage ties break toward the most
-  // captured data flow, then toward the most recent run.
-  // With a maintained BehaviorStats the ranking is already aggregated; only
-  // the failing traces (the 2–5 recurrences) need decoding here, for
-  // reference selection. The batch recompute still runs standalone — and in
-  // shadow mode, where it must fingerprint byte-identically to the
-  // incremental aggregation or the build CHECK-fails.
+  // Batch path (standalone, or shadow): decode every trace once, aggregate
+  // its predictors, and summarize the failing ones. With a maintained
+  // BehaviorStats the ranking is already aggregated and the failing traces
+  // were summarized at ingest, so no stored trace is decoded here; in shadow
+  // mode the batch path still runs and must agree with the incremental one
+  // (fingerprint and reference choice) or the build CHECK-fails.
   BehaviorStats batch(options.beta);
-  const bool need_batch = options.behavior == nullptr || options.shadow_check;
-  const RunTrace* reference = nullptr;
-  size_t reference_coverage = 0;
-  std::vector<std::shared_ptr<const PtDecodeResult>> reference_decoded;
+  std::vector<FailingTraceSummary> batch_summaries;
+  const bool incremental = options.behavior != nullptr;
+  uint64_t pt_decodes = 0;
   uint64_t quarantined = options.quarantined;
-  for (const RunTrace& trace : traces) {
-    if (!trace.failed && !need_batch) {
-      continue;  // already aggregated at ingest; nothing else to read from it
-    }
-    std::vector<std::shared_ptr<const PtDecodeResult>> decoded;
-    bool decodable = true;
-    for (size_t core = 0; core < trace.pt_buffers.size(); ++core) {
-      // Decodes share the artifact store with ingest: the same (module,
-      // core, bytes) key the server decoded at AddTrace time hits here, so
-      // per-recurrence rebuilds stop being quadratic in stored traces.
-      std::shared_ptr<const PtDecodeResult> one = GetOrDecodePt(
-          options.store, module, options.module_hash, static_cast<CoreId>(core),
-          trace.pt_buffers[core]);
-      if (!one->ok()) {
+  if (!incremental || options.shadow_check) {
+    for (size_t i = 0; i < traces.size(); ++i) {
+      const RunTrace& trace = traces[i];
+      auto decoded = DecodeTrace(module, options, trace, &pt_decodes);
+      if (!decoded.has_value()) {
         // Corrupt upload that bypassed server ingestion: quarantine it here
         // rather than abandoning the sketch (DESIGN.md §8).
-        decodable = false;
-        break;
+        ++quarantined;
+        continue;
       }
-      decoded.push_back(std::move(one));
-    }
-    if (!decodable) {
-      ++quarantined;
-      continue;
-    }
-    if (need_batch) {
       batch.RecordRun(trace.run_id,
                       *GetOrExtractTracePredictors(module, options.store, options.module_hash,
-                                                   decoded, trace),
+                                                   *decoded, trace),
                       trace.failed);
-    }
-    if (trace.failed) {
-      const std::unordered_set<InstrId> trace_executed =
-          ExecutedInstrsViews(module, TraceViews(decoded));
-      size_t coverage = 0;
-      for (InstrId id : window) {
-        coverage += trace_executed.count(id);
-      }
-      bool better = reference == nullptr;
-      if (!better && coverage != reference_coverage) {
-        better = coverage > reference_coverage;
-      } else if (!better) {
-        better = trace.watch_events.size() >= reference->watch_events.size();
-      }
-      if (better) {
-        reference = &trace;
-        reference_coverage = coverage;
-        reference_decoded = std::move(decoded);
+      if (trace.failed) {
+        batch_summaries.push_back(SummarizeFailingTrace(module, i, *decoded));
       }
     }
   }
-  if (reference == nullptr) {
+  if (incremental) {
+    GIST_CHECK(options.failing_summaries != nullptr)
+        << "streaming statistics need the ingest-time failing-trace summaries";
+  }
+  const std::vector<FailingTraceSummary>& summaries =
+      incremental ? *options.failing_summaries : batch_summaries;
+  const std::optional<size_t> chosen = SelectReferenceRun(module, window, traces, summaries);
+  if (!chosen.has_value()) {
     return Error("no failing run collected yet");
   }
-  if (options.behavior != nullptr && options.shadow_check) {
+  const FailingTraceSummary& summary = summaries[*chosen];
+  if (incremental && options.shadow_check) {
     GIST_CHECK(batch.Fingerprint() == options.behavior->Fingerprint())
         << "shadow mode: incremental BehaviorStats diverged from batch recompute\n--- batch:\n"
         << batch.Fingerprint() << "--- incremental:\n"
         << options.behavior->Fingerprint();
+    const std::optional<size_t> batch_chosen =
+        SelectReferenceRun(module, window, traces, batch_summaries);
+    GIST_CHECK(batch_chosen.has_value() &&
+               batch_summaries[*batch_chosen].trace_index == summary.trace_index)
+        << "shadow mode: summary-based reference run (trace " << summary.trace_index
+        << ") differs from the batch selection";
   }
-  const PredictorStats& stats =
-      options.behavior != nullptr ? options.behavior->stats() : batch.stats();
+  const PredictorStats& stats = incremental ? options.behavior->stats() : batch.stats();
+  const RunTrace* reference = &traces[summary.trace_index];
+  // Only the reference run is decoded for layout. Its streams already
+  // decoded cleanly (ingest validation, or the batch pass above).
+  const auto reference_decoded = DecodeTrace(module, options, *reference, &pt_decodes);
+  if (!reference_decoded.has_value()) {
+    return Error("reference failing run no longer decodes");
+  }
 
   // --- Refinement -----------------------------------------------------------
   // (a) control flow: window statements that actually executed in the
-  //     reference failing run;
+  //     reference failing run (its executed-instruction bitset);
   // (b) data flow: statements the watchpoints caught that static slicing
   //     missed (no alias analysis), added to the sketch.
-  const std::unordered_set<InstrId> executed =
-      ExecutedInstrsViews(module, TraceViews(reference_decoded));
   std::set<InstrId> members;
   for (InstrId id : window) {
-    if (executed.count(id) != 0 || id == reference->failure.failing_instr) {
+    if (TestInstrBit(summary.executed, id) || id == reference->failure.failing_instr) {
       members.insert(id);
     }
   }
@@ -211,7 +260,7 @@ Result<FailureSketch> BuildFailureSketch(const Module& module,
   std::map<std::pair<ThreadId, InstrId>, LayoutEntry> entries;
 
   std::map<ThreadId, int64_t> thread_pos;
-  for (const auto& decode_result : reference_decoded) {
+  for (const auto& decode_result : *reference_decoded) {
     const DecodedCoreTrace& trace = decode_result->trace;
     for (const PtVisit& visit : trace.visits) {
       if (visit.first_index > visit.last_index) {
@@ -311,6 +360,7 @@ Result<FailureSketch> BuildFailureSketch(const Module& module,
   sketch.failing_runs_used = stats.failing_runs();
   sketch.successful_runs_used = stats.successful_runs();
   sketch.quarantined_traces = quarantined;
+  sketch.pt_decodes = pt_decodes;
   sketch.predictors_evaluated = static_cast<uint32_t>(stats.predictor_count());
 
   std::set<InstrId> highlighted;

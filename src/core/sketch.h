@@ -7,8 +7,11 @@
 // successful runs).
 //
 // Construction = slice refinement + predictor statistics:
-//   1. decode the failing runs' PT buffers → which window statements actually
-//      executed (removes never-executed slice statements);
+//   1. pick the reference failing run — the one whose executed-instruction
+//      bitset (kept per failing trace at ingest, DESIGN.md §15) covers the
+//      most of the window — and decode only its PT buffers; its bitset says
+//      which window statements actually executed (removes never-executed
+//      slice statements);
 //   2. add watchpoint-discovered statements that the alias-analysis-free
 //      static slice missed (§3.2.3);
 //   3. order statements by the watchpoint total order, interpolating
@@ -30,6 +33,7 @@
 #include "src/core/run_trace.h"
 #include "src/core/statistics.h"
 #include "src/ir/module.h"
+#include "src/pt/decoder.h"
 #include "src/support/result.h"
 
 namespace gist {
@@ -68,6 +72,10 @@ struct FailureSketch {
   // Distinct predictors scored while ranking (flight-recorder input,
   // DESIGN.md §9).
   uint32_t predictors_evaluated = 0;
+  // PT streams this build decoded (every core of each trace it read; cache
+  // hits count too). Flight-recorder input, DESIGN.md §15: with streaming
+  // statistics and shadow mode off, only the reference run is decoded.
+  uint64_t pt_decodes = 0;
   // Traces excluded from this sketch because their PT streams would not
   // decode (server-side quarantine plus any undecodable trace handed
   // directly to BuildFailureSketch). Purely informational: the sketch is
@@ -81,6 +89,18 @@ struct FailureSketch {
   std::vector<InstrId> SharedAccessOrder(const Module& module) const;
 };
 
+// What the server keeps from one accepted failing trace for reference-run
+// selection (DESIGN.md §15): the set of instructions its PT streams cover.
+struct FailingTraceSummary {
+  size_t trace_index = 0;  // position of the trace in the list it summarizes
+  InstrBitset executed;
+};
+
+// Summarizes one trace from its decoded PT streams.
+FailingTraceSummary SummarizeFailingTrace(
+    const Module& module, size_t trace_index,
+    const std::vector<std::shared_ptr<const PtDecodeResult>>& decoded);
+
 struct SketchOptions {
   double beta = kDefaultBeta;
   std::string title;
@@ -91,24 +111,27 @@ struct SketchOptions {
   // Uploads the server already quarantined before `traces`; carried into
   // FailureSketch::quarantined_traces so the sketch reports the full count.
   uint64_t quarantined = 0;
-  // Optional artifact store (DESIGN.md §11): sketch construction re-decodes
-  // every stored trace's PT buffers per recurrence — quadratic in traces
-  // without the cache, and the keys match ingest's, so even a cold campaign
-  // hits here. `module_hash` must be the content hash of the module passed
-  // to BuildFailureSketch; ignored when `store` is null.
+  // Optional artifact store (DESIGN.md §11): PT decodes go through it, so
+  // the reference run's decode hits the entry ingest made. `module_hash`
+  // must be the content hash of the module passed to BuildFailureSketch;
+  // ignored when `store` is null.
   ArtifactStore* store = nullptr;
   ContentHash module_hash;
   // Streaming statistics maintained by the trace-ingest path (DESIGN.md
   // §14). When set, the sketch ranks from this aggregation instead of
-  // re-extracting every stored trace's predictors, and only the FAILING
-  // traces are decoded (for reference-run selection) — the caller guarantees
-  // every trace in `traces` already passed ingest validation, which
-  // GistServer does. Null keeps the historical batch recompute.
+  // re-extracting every stored trace's predictors, picks the reference run
+  // from `failing_summaries` (which must then be set), and decodes only the
+  // reference trace — the caller guarantees every trace in `traces` already
+  // passed ingest validation, which GistServer does. Null keeps the batch
+  // path: decode every trace, aggregate, and summarize the failing ones.
   const BehaviorStats* behavior = nullptr;
-  // Shadow mode: with `behavior` set, ALSO run the batch recompute and
-  // CHECK-fail unless both aggregations fingerprint byte-identically. The
-  // incremental path's correctness gate; tests and GIST_STATS_SHADOW=1 turn
-  // it on.
+  // One summary per failing trace of `traces`, in trace order (DESIGN.md
+  // §15); read only with `behavior`.
+  const std::vector<FailingTraceSummary>* failing_summaries = nullptr;
+  // Shadow mode: with `behavior` set, ALSO run the batch path and CHECK-fail
+  // unless both aggregations fingerprint byte-identically and both pick the
+  // same reference trace. The incremental path's correctness gate; tests and
+  // GIST_STATS_SHADOW=1 turn it on.
   bool shadow_check = false;
 };
 

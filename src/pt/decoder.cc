@@ -292,7 +292,7 @@ class Decoder {
           visit.last_index = ip.index;
         }
         // Invalidate later visits of this walker (mark empty; filtered below
-        // by ExecutedInstrs and by consumers via first>last convention).
+        // by ExecutedInstrBits and by consumers via first>last convention).
         for (size_t d = r + 1; d < walker.visit_indices.size(); ++d) {
           PtVisit& dropped = trace_.visits[walker.visit_indices[d]];
           dropped.first_index = 1;
@@ -359,17 +359,9 @@ Result<DecodedCoreTrace> DecodePtStream(const Module& module, CoreId core,
   return std::move(result.trace);
 }
 
-std::unordered_set<InstrId> ExecutedInstrs(const Module& module,
-                                           const std::vector<DecodedCoreTrace>& traces) {
-  std::vector<const DecodedCoreTrace*> view;
-  view.reserve(traces.size());
-  for (const DecodedCoreTrace& trace : traces) view.push_back(&trace);
-  return ExecutedInstrsViews(module, view);
-}
-
-std::unordered_set<InstrId> ExecutedInstrsViews(
-    const Module& module, const std::vector<const DecodedCoreTrace*>& traces) {
-  std::unordered_set<InstrId> executed;
+InstrBitset ExecutedInstrBits(const Module& module,
+                              const std::vector<const DecodedCoreTrace*>& traces) {
+  InstrBitset executed((module.num_instructions() + 63) / 64, 0);
   for (const DecodedCoreTrace* trace : traces) {
     for (const PtVisit& visit : trace->visits) {
       if (visit.first_index > visit.last_index) {
@@ -377,9 +369,23 @@ std::unordered_set<InstrId> ExecutedInstrsViews(
       }
       const auto& instrs = module.function(visit.function).block(visit.block).instructions();
       for (uint32_t i = visit.first_index; i <= visit.last_index && i < instrs.size(); ++i) {
-        executed.insert(instrs[i].id);
+        const InstrId id = instrs[i].id;
+        executed[id / 64] |= uint64_t{1} << (id % 64);
       }
     }
+  }
+  return executed;
+}
+
+std::unordered_set<InstrId> ExecutedInstrs(const Module& module,
+                                           const std::vector<DecodedCoreTrace>& traces) {
+  std::vector<const DecodedCoreTrace*> view;
+  view.reserve(traces.size());
+  for (const DecodedCoreTrace& trace : traces) view.push_back(&trace);
+  const InstrBitset bits = ExecutedInstrBits(module, view);
+  std::unordered_set<InstrId> executed;
+  for (InstrId id = 0; id < module.num_instructions(); ++id) {
+    if (TestInstrBit(bits, id)) executed.insert(id);
   }
   return executed;
 }

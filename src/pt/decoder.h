@@ -104,14 +104,24 @@ PtDecodeResult DecodePt(const Module& module, CoreId core, const std::vector<uin
 Result<DecodedCoreTrace> DecodePtStream(const Module& module, CoreId core,
                                         const std::vector<uint8_t>& bytes);
 
-// Union of all instruction ids covered by the visits.
+// Executed-instruction bitset indexed by InstrId: bit (id % 64) of word
+// (id / 64). Instruction ids are dense (Module::num_instructions()), so this
+// is the compact executed set the server keeps per failing trace (DESIGN.md
+// §15) and the sketch builder reads.
+using InstrBitset = std::vector<uint64_t>;
+
+inline bool TestInstrBit(const InstrBitset& bits, InstrId id) {
+  const size_t word = id / 64;
+  return word < bits.size() && ((bits[word] >> (id % 64)) & 1u) != 0;
+}
+
+// Bitset of every instruction the visits cover, sized for `module`.
+InstrBitset ExecutedInstrBits(const Module& module,
+                              const std::vector<const DecodedCoreTrace*>& traces);
+
+// Set flavor of the same union, for callers comparing against ground truth.
 std::unordered_set<InstrId> ExecutedInstrs(const Module& module,
                                            const std::vector<DecodedCoreTrace>& traces);
-// Pointer-view flavor: callers holding shared cached decodes (DESIGN.md §11)
-// pass views instead of copying traces into a contiguous vector. Named
-// distinctly so braced-init-list calls of the value flavor stay unambiguous.
-std::unordered_set<InstrId> ExecutedInstrsViews(const Module& module,
-                                                const std::vector<const DecodedCoreTrace*>& traces);
 
 }  // namespace gist
 

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 
+#include "src/coop/wire.h"
 #include "src/core/gist.h"
 #include "src/ir/parser.h"
 
@@ -154,6 +155,59 @@ TEST_F(GistServerTest, ReportResetsState) {
   EXPECT_EQ(server.failure_recurrences(), 0u);
   EXPECT_EQ(server.ast_iteration(), 0u);
   EXPECT_TRUE(server.discovered_instrs().empty());
+  // The failing-trace summaries went with the traces.
+  EXPECT_FALSE(server.BuildSketch().ok());
+}
+
+TEST_F(GistServerTest, SketchBuildDecodesOnlyTheReferenceRun) {
+  GistOptions options;
+  options.num_cores = 2;
+  GistServer server(*module_, options);
+  server.ReportFailure(report_);
+  for (uint64_t run_id = 1; run_id <= 3; ++run_id) {
+    MonitoredRun run = RunMonitored(*module_, server.plan(), Workload{}, options, run_id);
+    ASSERT_FALSE(run.result.ok());
+    ASSERT_EQ(run.trace.pt_buffers.size(), 2u);
+    ASSERT_EQ(server.AddTrace(std::move(run.trace)), GistServer::TraceIngest::kAccepted);
+  }
+  ASSERT_EQ(server.failure_recurrences(), 3u);
+  for (uint64_t build = 1; build <= 2; ++build) {
+    ASSERT_TRUE(server.BuildSketch().ok());
+    // One decode per core of the reference run, however many failing
+    // traces are stored.
+    EXPECT_EQ(server.metrics().counter("stats.sketch_pt_decodes"), 2 * build);
+  }
+  EXPECT_EQ(server.metrics().counter("stats.sketch_builds"), 2u);
+}
+
+TEST_F(GistServerTest, WatchEventWithUnknownInstructionIsQuarantined) {
+  GistServer server(*module_);
+  server.ReportFailure(report_);
+  MonitoredRun run = RunMonitored(*module_, server.plan(), Workload{}, GistOptions{}, 1);
+  ASSERT_FALSE(run.result.ok());
+
+  // A well-formed upload whose watch log names an instruction the module
+  // does not have: the wire accepts it, the server must not.
+  RunTrace hostile = run.trace;
+  WatchEvent bogus;
+  bogus.seq = 1;
+  bogus.tid = 0;
+  bogus.instr = 999999;
+  hostile.watch_events.push_back(bogus);
+  Result<RunTrace> shipped = DeserializeRunTrace(SerializeRunTrace(hostile));
+  ASSERT_TRUE(shipped.ok()) << shipped.error().message();
+  EXPECT_EQ(server.AddTrace(std::move(*shipped)), GistServer::TraceIngest::kQuarantined);
+  EXPECT_EQ(server.quarantined_traces(), 1u);
+  EXPECT_EQ(server.metrics().counter("server.traces.quarantined"), 1u);
+  EXPECT_EQ(server.trace_count(), 0u);
+  EXPECT_EQ(server.failure_recurrences(), 0u);
+  EXPECT_TRUE(server.discovered_instrs().empty());
+  EXPECT_FALSE(server.BuildSketch().ok());
+
+  // The intact upload of the same run is still accepted and sketched.
+  EXPECT_EQ(server.AddTrace(std::move(run.trace)), GistServer::TraceIngest::kAccepted);
+  EXPECT_EQ(server.failure_recurrences(), 1u);
+  EXPECT_TRUE(server.BuildSketch().ok());
 }
 
 TEST_F(GistServerTest, BuildSketchWithoutTracesErrors) {

@@ -210,7 +210,16 @@ EOF
   ./build-ci-release/gist corpus gen --out build-ci-release/corpus \
     --seed 2015 --count 49 >/dev/null
   ./build-ci-release/gist corpus score --dir build-ci-release/corpus \
-    --jobs "${JOBS}" --baseline BENCH_corpus.json
+    --jobs "${JOBS}" --baseline BENCH_corpus.json \
+    --score-json build-ci-release/corpus_score.json
+  # Shadow mode (DESIGN.md §14, §15) re-runs the batch statistics and the
+  # decode-every-failing-trace reference selection inside every sketch build
+  # and CHECK-fails on divergence; the report must not change by a byte.
+  echo "=== [release] corpus shadow-mode identity ==="
+  GIST_STATS_SHADOW=1 ./build-ci-release/gist corpus score \
+    --dir build-ci-release/corpus --jobs "${JOBS}" --baseline BENCH_corpus.json \
+    --score-json build-ci-release/corpus_score_shadow.json
+  cmp build-ci-release/corpus_score.json build-ci-release/corpus_score_shadow.json
 }
 
 stage_tsan() {
