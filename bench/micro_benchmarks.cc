@@ -7,8 +7,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
+#include <functional>
+#include <memory>
+#include <optional>
 #include <string_view>
 
 #include "bench/bench_util.h"
@@ -21,6 +23,7 @@
 #include "src/pt/decoder.h"
 #include "src/pt/tracer.h"
 #include "src/support/rng.h"
+#include "src/support/str.h"
 #include "src/vm/vm.h"
 
 namespace gist {
@@ -150,37 +153,6 @@ void BM_VmInterpretationProfiled(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(steps));
 }
 BENCHMARK(BM_VmInterpretationProfiled);
-
-void BM_VmInterpretationSuper(benchmark::State& state) {
-  // The superinstruction tier (DESIGN.md §12): one profiled run selects the
-  // hot chains, then every run executes fused straight-line bodies. Compare
-  // against BM_VmInterpretationSharedDecode for the fusion win.
-  auto app = MakeAppByName("pbzip2");
-  auto decoded = std::make_shared<const DecodedModule>(app->module());
-  Rng rng(5);
-  Workload workload = app->MakeWorkload(0, rng);
-  workload.inputs[kWorkScaleInput] = 2000;
-  BlockProfile profile;
-  {
-    VmOptions options;
-    options.decoded = decoded.get();
-    options.profile = &profile;
-    Vm(app->module(), workload, options).Run();
-  }
-  const std::shared_ptr<const FusedModule> fused = FusedModule::Build(decoded, profile);
-  uint64_t steps = 0;
-  for (auto _ : state) {
-    VmOptions options;
-    options.decoded = decoded.get();
-    options.fused = fused.get();
-    Vm vm(app->module(), workload, options);
-    RunResult result = vm.Run();
-    steps += result.stats.steps;
-    benchmark::DoNotOptimize(result.stats.steps);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(steps));
-}
-BENCHMARK(BM_VmInterpretationSuper);
 
 void BM_VmWithClientRuntimeAttached(benchmark::State& state) {
   auto app = MakeAppByName("pbzip2");
@@ -335,42 +307,6 @@ double MeasureProfilerOverheadRatio() {
   return on > 0.0 ? std::max(1.0, off / on) : 1.0;
 }
 
-// Super-tier throughput (the BM_VmInterpretationSuper configuration): one
-// deterministic profiled run selects the chains, then repeated fused runs
-// until `min_seconds` of work. Also reports the selection's fused-block
-// fraction — deterministic (a pure function of module + profile), unlike the
-// throughput.
-double MeasureSuperStepsPerSecond(double* fused_block_fraction, double min_seconds = 1.0) {
-  auto app = MakeAppByName("pbzip2");
-  auto decoded = std::make_shared<const DecodedModule>(app->module());
-  Rng rng(5);
-  Workload workload = app->MakeWorkload(0, rng);
-  workload.inputs[kWorkScaleInput] = 2000;
-  BlockProfile profile;
-  {
-    VmOptions options;
-    options.decoded = decoded.get();
-    options.profile = &profile;
-    Vm(app->module(), workload, options).Run();  // selection input + warm-up
-  }
-  const std::shared_ptr<const FusedModule> fused = FusedModule::Build(decoded, profile);
-  if (fused_block_fraction != nullptr) {
-    *fused_block_fraction = fused->stats().fused_block_fraction();
-  }
-  uint64_t steps = 0;
-  const auto start = std::chrono::steady_clock::now();
-  double elapsed = 0.0;
-  do {
-    VmOptions options;
-    options.decoded = decoded.get();
-    options.fused = fused.get();
-    Vm vm(app->module(), workload, options);
-    steps += vm.Run().stats.steps;
-    elapsed = std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  } while (elapsed < min_seconds);
-  return static_cast<double>(steps) / elapsed;
-}
-
 // Invariant fleet counters for the CI perf gate: a small recorder-attached
 // fleet whose merged metrics are a pure function of (module, options, seed).
 // Unlike steps/second these must match the committed baseline EXACTLY — any
@@ -385,6 +321,10 @@ struct InvariantCounters {
   // the observatory's schema or the campaign's convergence trajectory
   // changed, not the machine's speed (DESIGN.md §14).
   uint64_t campaign_journal_bytes = 0;
+  // Instructions retired inside fused bodies (DESIGN.md §12). Deterministic
+  // like the counters above; a drop to zero means fusion silently
+  // disengaged, which no throughput floor catches reliably.
+  uint64_t fused_retired = 0;
 };
 
 InvariantCounters MeasureInvariantCounters() {
@@ -401,6 +341,7 @@ InvariantCounters MeasureInvariantCounters() {
   counters.pt_packets_decoded = recorder.metrics().counter("pt.decode.packets");
   counters.watch_traps = recorder.metrics().counter("hw.watch.traps");
   counters.campaign_journal_bytes = campaign.JournalJson().size();
+  counters.fused_retired = recorder.metrics().counter("engine.fused_retired");
   return counters;
 }
 
@@ -424,237 +365,168 @@ bool ParsePerfSmokeStrictFlag(int argc, char** argv) {
   return false;
 }
 
+// One measurement of a perf-smoke key. A non-empty `failure` fails the gate
+// whatever the baseline says; `detail` is printed next to the value.
+struct Reading {
+  explicit Reading(double measured) : value(measured) {}
+
+  double value;
+  std::string failure;
+  std::string detail;
+};
+
+// How a measurement must relate to its committed BENCH_interp.json baseline.
+enum class GateKind {
+  kFloor,        // measured >= max(floor_min, baseline * tolerance)
+  kCeiling,      // measured <= baseline * tolerance
+  kAbsCeiling,   // measured <= tolerance; reads no baseline
+  kExact,        // measured == baseline: a deterministic work count
+};
+
+struct Gate {
+  const char* key;
+  std::function<Reading()> measure;
+  GateKind kind;
+  double tolerance = 0.0;
+  double floor_min = 0.0;  // kFloor only
+};
+
+// The perf-smoke table: every key `--emit-json` writes and `--perf-smoke`
+// checks. Throughput gates are cushioned so timer jitter on loaded CI boxes
+// cannot flake them while a real regression still fails; the work counts are
+// exact, because any drift there is a semantic change, not machine speed.
+std::vector<Gate> PerfSmokeGates() {
+  // The invariant counters come from one fleet; measure it once.
+  auto counters = std::make_shared<std::optional<InvariantCounters>>();
+  auto counter = [counters](uint64_t InvariantCounters::*field) {
+    return [counters, field] {
+      if (!counters->has_value()) {
+        *counters = MeasureInvariantCounters();
+      }
+      return Reading(static_cast<double>((**counters).*field));
+    };
+  };
+  return {
+      // Interpreter throughput: fail on a >30% regression.
+      {"vm_interp_steps_per_sec", [] { return Reading(MeasureVmStepsPerSecond()); },
+       GateKind::kFloor, 0.7},
+      // Hot-path profiler (DESIGN.md §10): the design target is <= 10%
+      // slowdown; the ceiling allows 25%. The ratio is clamped to >= 1.0 at
+      // measurement, so only slowdowns can fail.
+      {"vm_profiler_overhead_ratio", [] { return Reading(MeasureProfilerOverheadRatio()); },
+       GateKind::kAbsCeiling, 1.25},
+      // Streaming statistics (DESIGN.md §14): per-update cost within 2x of
+      // the baseline. An asymptotic regression (per-run work growing with
+      // accumulated state) overshoots by orders of magnitude.
+      {"stats_incremental_update_ns",
+       [] { return Reading(MeasureStatsIncrementalUpdateNs()); }, GateKind::kCeiling, 2.0},
+      // Artifact store (DESIGN.md §11): the warm sweep must keep paying for
+      // itself, and a zero-hit warm sweep fails outright.
+      {"vm_warm_start_speedup",
+       [] {
+         const WarmStartMeasurement warm = MeasureWarmStartSpeedup(/*jobs=*/1);
+         Reading reading(warm.speedup);
+         reading.detail = StrFormat("uncached %.3fs, warm %.3fs, %llu warm hits",
+                                    warm.uncached_seconds, warm.warm_seconds,
+                                    static_cast<unsigned long long>(warm.warm_hits));
+         if (warm.warm_hits == 0) {
+           reading.failure = "warm sweep had zero cache hits";
+         }
+         return reading;
+       },
+       GateKind::kFloor, 0.7, 1.10},
+      {"obs_instructions_retired", counter(&InvariantCounters::instructions_retired),
+       GateKind::kExact},
+      {"obs_pt_packets_decoded", counter(&InvariantCounters::pt_packets_decoded),
+       GateKind::kExact},
+      {"obs_watch_traps", counter(&InvariantCounters::watch_traps), GateKind::kExact},
+      {"campaign_journal_bytes", counter(&InvariantCounters::campaign_journal_bytes),
+       GateKind::kExact},
+      {"vm_fused_retired", counter(&InvariantCounters::fused_retired), GateKind::kExact},
+  };
+}
+
+// Checks one gate against `baseline`; returns false when it fails. Without a
+// baseline the gate is skipped, or fails under --perf-smoke-strict so a
+// deleted or corrupted artifact cannot silently turn the gate off.
+bool CheckGate(const Gate& gate, const std::map<std::string, double>& baseline,
+               const std::string& smoke_path, bool strict) {
+  const auto it = baseline.find(gate.key);
+  if (gate.kind != GateKind::kAbsCeiling && it == baseline.end()) {
+    if (strict) {
+      std::fprintf(stderr, "perf smoke FAILED: no %s baseline in %s (--perf-smoke-strict)\n",
+                   gate.key, smoke_path.c_str());
+      return false;
+    }
+    std::fprintf(stderr, "perf smoke: no %s in %s; skipping gate\n", gate.key,
+                 smoke_path.c_str());
+    return true;
+  }
+  const Reading reading = gate.measure();
+  double bound = gate.tolerance;
+  bool ok = true;
+  const char* relation = "";
+  switch (gate.kind) {
+    case GateKind::kFloor:
+      bound = std::max(gate.floor_min, it->second * gate.tolerance);
+      ok = reading.value >= bound;
+      relation = "floor";
+      break;
+    case GateKind::kCeiling:
+      bound = it->second * gate.tolerance;
+      ok = reading.value <= bound;
+      relation = "ceiling";
+      break;
+    case GateKind::kAbsCeiling:
+      ok = reading.value <= bound;
+      relation = "ceiling";
+      break;
+    case GateKind::kExact:
+      bound = it->second;
+      ok = static_cast<uint64_t>(reading.value) == static_cast<uint64_t>(bound);
+      relation = "must equal";
+      break;
+  }
+  std::printf("perf smoke: %s %.6g (%s %.6g)%s%s\n", gate.key, reading.value, relation, bound,
+              reading.detail.empty() ? "" : ", ", reading.detail.c_str());
+  if (!ok) {
+    std::fprintf(stderr, "perf smoke FAILED: %s = %.6g, %s %.6g\n", gate.key, reading.value,
+                 relation, bound);
+  }
+  if (!reading.failure.empty()) {
+    std::fprintf(stderr, "perf smoke FAILED: %s: %s\n", gate.key, reading.failure.c_str());
+    ok = false;
+  }
+  return ok;
+}
+
 int Main(int argc, char** argv) {
   const std::string emit_path = ParseEmitJsonFlag(argc, argv, "BENCH_interp.json");
   const std::string smoke_path = ParsePerfSmokeFlag(argc, argv);
   const bool smoke_strict = ParsePerfSmokeStrictFlag(argc, argv);
 
   if (!emit_path.empty()) {
-    const double steps_per_sec = MeasureVmStepsPerSecond();
-    double fused_fraction = 0.0;
-    const double super_steps_per_sec = MeasureSuperStepsPerSecond(&fused_fraction);
-    const double profiler_overhead = MeasureProfilerOverheadRatio();
-    const double stats_update_ns = MeasureStatsIncrementalUpdateNs();
-    const WarmStartMeasurement warm = MeasureWarmStartSpeedup(/*jobs=*/1);
-    const InvariantCounters counters = MeasureInvariantCounters();
-    if (!UpdateBenchJson(
-            emit_path,
-            {{"vm_interp_steps_per_sec", steps_per_sec},
-             {"vm_super_steps_per_sec", super_steps_per_sec},
-             {"vm_super_fused_block_fraction", fused_fraction},
-             {"vm_profiler_overhead_ratio", profiler_overhead},
-             {"vm_warm_start_speedup", warm.speedup},
-             {"stats_incremental_update_ns", stats_update_ns},
-             {"obs_instructions_retired", static_cast<double>(counters.instructions_retired)},
-             {"obs_pt_packets_decoded", static_cast<double>(counters.pt_packets_decoded)},
-             {"obs_watch_traps", static_cast<double>(counters.watch_traps)},
-             {"campaign_journal_bytes", static_cast<double>(counters.campaign_journal_bytes)}})) {
+    std::map<std::string, double> values;
+    for (const Gate& gate : PerfSmokeGates()) {
+      const Reading reading = gate.measure();
+      values[gate.key] = reading.value;
+      std::printf("%s: %.6g%s%s -> %s\n", gate.key, reading.value,
+                  reading.detail.empty() ? "" : ", ", reading.detail.c_str(), emit_path.c_str());
+    }
+    if (!UpdateBenchJson(emit_path, values)) {
       std::fprintf(stderr, "cannot write %s\n", emit_path.c_str());
       return 1;
     }
-    std::printf("vm_interp_steps_per_sec: %.3g -> %s\n", steps_per_sec, emit_path.c_str());
-    std::printf("vm_super_steps_per_sec: %.3g (%.2fx fast, fused fraction %.3f) -> %s\n",
-                super_steps_per_sec, steps_per_sec > 0.0 ? super_steps_per_sec / steps_per_sec : 0.0,
-                fused_fraction, emit_path.c_str());
-    std::printf("vm_profiler_overhead_ratio: %.3f -> %s\n", profiler_overhead, emit_path.c_str());
-    std::printf("stats_incremental_update_ns: %.1f -> %s\n", stats_update_ns, emit_path.c_str());
-    std::printf("vm_warm_start_speedup: %.2f (uncached %.3fs, warm %.3fs, %llu warm hits) -> %s\n",
-                warm.speedup, warm.uncached_seconds, warm.warm_seconds,
-                static_cast<unsigned long long>(warm.warm_hits), emit_path.c_str());
-    std::printf("obs counters: retired=%llu pt_packets=%llu watch_traps=%llu "
-                "campaign_journal=%lluB -> %s\n",
-                static_cast<unsigned long long>(counters.instructions_retired),
-                static_cast<unsigned long long>(counters.pt_packets_decoded),
-                static_cast<unsigned long long>(counters.watch_traps),
-                static_cast<unsigned long long>(counters.campaign_journal_bytes),
-                emit_path.c_str());
     return 0;
   }
 
   if (!smoke_path.empty()) {
-    // CI perf gate: fail when interpreter throughput regresses more than 30%
-    // against the committed baseline artifact.
     const std::map<std::string, double> baseline = ReadBenchJson(smoke_path);
-    const auto it = baseline.find("vm_interp_steps_per_sec");
-    if (it == baseline.end()) {
-      // Default: tolerate a missing baseline so fresh checkouts stay green.
-      // --perf-smoke-strict turns the soft skip into a hard failure: CI uses
-      // it so a deleted or corrupted baseline artifact cannot silently turn
-      // the perf gate off.
-      if (smoke_strict) {
-        std::fprintf(stderr,
-                     "perf smoke FAILED: no vm_interp_steps_per_sec baseline in %s "
-                     "(--perf-smoke-strict)\n",
-                     smoke_path.c_str());
-        return 1;
-      }
-      std::fprintf(stderr, "perf smoke: no vm_interp_steps_per_sec in %s; skipping gate\n",
-                   smoke_path.c_str());
-      return 0;
+    bool ok = true;
+    for (const Gate& gate : PerfSmokeGates()) {
+      ok = CheckGate(gate, baseline, smoke_path, smoke_strict) && ok;
     }
-    const double measured = MeasureVmStepsPerSecond();
-    const double floor = it->second * 0.7;
-    std::printf("perf smoke: %.3g steps/s measured vs %.3g baseline (floor %.3g)\n", measured,
-                it->second, floor);
-    if (measured < floor) {
-      std::fprintf(stderr, "perf smoke FAILED: interpreter regressed more than 30%%\n");
-      return 1;
-    }
-
-    // Super-tier gate (DESIGN.md §12): fused execution must stay at least
-    // 1.5x the COMMITTED fast-path baseline — the tier's reason to exist is
-    // throughput, so a fusion path that quietly degenerated into per-op
-    // dispatch fails here even while the fast-path floor above still passes.
-    // The fused-block fraction is a pure function of (module, profile), so
-    // it must reproduce the baseline exactly up to JSON formatting; drift
-    // means the selection policy changed, which is a semantic change.
-    const auto super_it = baseline.find("vm_super_steps_per_sec");
-    const auto fraction_it = baseline.find("vm_super_fused_block_fraction");
-    if (super_it == baseline.end() || fraction_it == baseline.end()) {
-      if (smoke_strict) {
-        std::fprintf(stderr,
-                     "perf smoke FAILED: no vm_super_steps_per_sec / "
-                     "vm_super_fused_block_fraction baseline in %s (--perf-smoke-strict)\n",
-                     smoke_path.c_str());
-        return 1;
-      }
-      std::fprintf(stderr, "perf smoke: no super-tier baseline in %s; skipping gate\n",
-                   smoke_path.c_str());
-    } else {
-      double fused_fraction = 0.0;
-      const double super_measured = MeasureSuperStepsPerSecond(&fused_fraction);
-      const double super_floor = it->second * 1.5;
-      std::printf("perf smoke: super tier %.3g steps/s vs %.3g fast baseline (floor %.3g, "
-                  "fused fraction %.3f)\n",
-                  super_measured, it->second, super_floor, fused_fraction);
-      if (super_measured < super_floor) {
-        std::fprintf(stderr,
-                     "perf smoke FAILED: super tier %.3g below 1.5x fast baseline (%.3g)\n",
-                     super_measured, super_floor);
-        return 1;
-      }
-      if (std::abs(fused_fraction - fraction_it->second) > 1e-4) {
-        std::fprintf(stderr,
-                     "perf smoke FAILED: fused block fraction %.6f != baseline %.6f "
-                     "(selection drifted)\n",
-                     fused_fraction, fraction_it->second);
-        return 1;
-      }
-    }
-
-    // Profiler-overhead gate: the hot-path profiler's design target is <= 10%
-    // interpreter slowdown (DESIGN.md §10); the gate allows 25% so timer
-    // jitter on loaded CI boxes cannot flake it while a real regression —
-    // e.g. an un-hoisted per-instruction counter lookup — still fails. The
-    // ratio is profiled/unprofiled cost, clamped to >= 1.0 at measurement,
-    // so the gate is one-sided by construction: only slowdowns past the
-    // ceiling fail; there is no lower bound to flake on.
-    const double overhead = MeasureProfilerOverheadRatio();
-    std::printf("perf smoke: profiler overhead ratio %.3f (>= 1.0 by definition, ceiling 1.25)\n",
-                overhead);
-    if (overhead > 1.25) {
-      std::fprintf(stderr, "perf smoke FAILED: profiler overhead ratio %.3f exceeds 1.25\n",
-                   overhead);
-      return 1;
-    }
-
-    // Streaming-statistics gate (DESIGN.md §14): per-update cost of the
-    // incremental aggregation against a cushioned ceiling (2x the committed
-    // baseline). One-sided — only a cost blow-up fails; a faster box never
-    // flakes. A 2x cushion absorbs scheduler noise on a sub-microsecond
-    // measurement while an asymptotic regression (per-run work scaling with
-    // accumulated state) still overshoots by orders of magnitude.
-    const auto stats_it = baseline.find("stats_incremental_update_ns");
-    if (stats_it == baseline.end()) {
-      if (smoke_strict) {
-        std::fprintf(stderr,
-                     "perf smoke FAILED: no stats_incremental_update_ns baseline in %s "
-                     "(--perf-smoke-strict)\n",
-                     smoke_path.c_str());
-        return 1;
-      }
-      std::fprintf(stderr, "perf smoke: no stats_incremental_update_ns in %s; skipping gate\n",
-                   smoke_path.c_str());
-    } else {
-      const double stats_update_ns = MeasureStatsIncrementalUpdateNs();
-      const double stats_ceiling = stats_it->second * 2.0;
-      std::printf("perf smoke: stats incremental update %.1f ns vs %.1f baseline (ceiling %.1f)\n",
-                  stats_update_ns, stats_it->second, stats_ceiling);
-      if (stats_update_ns > stats_ceiling) {
-        std::fprintf(stderr,
-                     "perf smoke FAILED: stats incremental update %.1f ns exceeds ceiling %.1f\n",
-                     stats_update_ns, stats_ceiling);
-        return 1;
-      }
-    }
-
-    // Warm-start gate: the artifact store must keep paying for itself. The
-    // floor is cushioned (70% of baseline, never below 1.10x) so machine
-    // noise cannot flake it while a cache that stopped hitting — e.g. a key
-    // derivation that no longer matches across campaigns — still fails. A
-    // zero-hit warm sweep fails outright regardless of wall-clock.
-    const auto warm_it = baseline.find("vm_warm_start_speedup");
-    if (warm_it == baseline.end()) {
-      if (smoke_strict) {
-        std::fprintf(stderr,
-                     "perf smoke FAILED: no vm_warm_start_speedup baseline in %s "
-                     "(--perf-smoke-strict)\n",
-                     smoke_path.c_str());
-        return 1;
-      }
-      std::fprintf(stderr, "perf smoke: no vm_warm_start_speedup in %s; skipping gate\n",
-                   smoke_path.c_str());
-    } else {
-      const WarmStartMeasurement warm = MeasureWarmStartSpeedup(/*jobs=*/1);
-      const double warm_floor = std::max(1.10, warm_it->second * 0.7);
-      std::printf("perf smoke: warm-start speedup %.2f vs %.2f baseline (floor %.2f, %llu hits)\n",
-                  warm.speedup, warm_it->second, warm_floor,
-                  static_cast<unsigned long long>(warm.warm_hits));
-      if (warm.warm_hits == 0) {
-        std::fprintf(stderr, "perf smoke FAILED: warm sweep had zero cache hits\n");
-        return 1;
-      }
-      if (warm.speedup < warm_floor) {
-        std::fprintf(stderr, "perf smoke FAILED: warm-start speedup %.2f below floor %.2f\n",
-                     warm.speedup, warm_floor);
-        return 1;
-      }
-    }
-
-    // Invariant-counter gate: the recorder's deterministic fleet counters
-    // must equal the committed baseline bit-for-bit. A mismatch is a
-    // semantic change (different instructions executed, packets decoded, or
-    // traps taken), which a throughput floor would never catch.
-    const InvariantCounters counters = MeasureInvariantCounters();
-    const std::pair<const char*, uint64_t> invariants[] = {
-        {"obs_instructions_retired", counters.instructions_retired},
-        {"obs_pt_packets_decoded", counters.pt_packets_decoded},
-        {"obs_watch_traps", counters.watch_traps},
-        {"campaign_journal_bytes", counters.campaign_journal_bytes},
-    };
-    bool counters_ok = true;
-    for (const auto& [key, measured_count] : invariants) {
-      const auto baseline_it = baseline.find(key);
-      if (baseline_it == baseline.end()) {
-        if (smoke_strict) {
-          std::fprintf(stderr, "perf smoke FAILED: no %s baseline in %s (--perf-smoke-strict)\n",
-                       key, smoke_path.c_str());
-          counters_ok = false;
-        } else {
-          std::fprintf(stderr, "perf smoke: no %s in %s; skipping counter\n", key,
-                       smoke_path.c_str());
-        }
-        continue;
-      }
-      const uint64_t expected = static_cast<uint64_t>(baseline_it->second);
-      if (measured_count != expected) {
-        std::fprintf(stderr, "perf smoke FAILED: %s = %llu, baseline %llu (must match exactly)\n",
-                     key, static_cast<unsigned long long>(measured_count),
-                     static_cast<unsigned long long>(expected));
-        counters_ok = false;
-      }
-    }
-    if (!counters_ok) {
+    if (!ok) {
       return 1;
     }
     std::printf("perf smoke OK\n");

@@ -117,8 +117,6 @@ const char* ArtifactKindName(ArtifactKind kind) {
       return "plan_rotations";
     case ArtifactKind::kPredictors:
       return "predictors";
-    case ArtifactKind::kFusedTier:
-      return "fused_tier";
   }
   return "unknown";
 }

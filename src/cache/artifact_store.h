@@ -68,9 +68,8 @@ enum class ArtifactKind : uint8_t {
   kPtDecode = 3,       // PT decode result per (module, core, packet bytes)
   kPlanRotations = 4,  // §3.2.3 watchpoint rotation list (object tier)
   kPredictors = 5,     // per-trace failure-predictor set (object tier)
-  kFusedTier = 6,      // superinstruction selection + bodies (object tier)
 };
-inline constexpr size_t kNumArtifactKinds = 7;
+inline constexpr size_t kNumArtifactKinds = 6;
 
 // Stable snake_case identifier ("slice", "pt_decode", ...) used in stats
 // keys, disk record names, and the `gist cache` report.

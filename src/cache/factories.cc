@@ -7,10 +7,8 @@
 #include "src/cfg/ticfg.h"
 #include "src/ir/module.h"
 #include "src/pt/decoder.h"
-#include "src/obs/profiler.h"
 #include "src/support/str.h"
 #include "src/vm/decoded_module.h"
-#include "src/vm/superinstr.h"
 
 namespace gist {
 namespace {
@@ -121,22 +119,6 @@ ContentHash HashModule(const Module& module) {
   return HashContent(text.data(), text.size());
 }
 
-ContentHash HashBlockProfile(const BlockProfile& profile) {
-  // Fold the four counter arrays (length included, so a truncated shard
-  // never collides with a padded one) into one 128-bit identity.
-  const auto fold = [](ContentHash hash, const std::vector<uint64_t>& counts) {
-    const ContentHash piece = HashContent(counts.data(), counts.size() * sizeof(uint64_t));
-    return ContentHash{HashCombine(HashCombine(hash.hi, counts.size()), piece.hi),
-                       HashCombine(HashCombine(hash.lo, counts.size()), piece.lo)};
-  };
-  ContentHash hash;
-  hash = fold(hash, profile.exec);
-  hash = fold(hash, profile.retired);
-  hash = fold(hash, profile.taken);
-  hash = fold(hash, profile.not_taken);
-  return hash;
-}
-
 ArtifactKey DecodedModuleKey(const ContentHash& module_hash) {
   return {ArtifactKind::kDecodedModule, module_hash.hi, module_hash.lo};
 }
@@ -162,36 +144,15 @@ ArtifactKey PlanRotationsKey(const ContentHash& module_hash, uint64_t plan_hash,
           HashCombine(HashCombine(module_hash.lo, plan_hash), slots)};
 }
 
-ArtifactKey FusedTierKey(const ContentHash& module_hash, const ContentHash& profile_hash,
-                         uint64_t min_block_retired) {
-  return {ArtifactKind::kFusedTier,
-          HashCombine(HashCombine(module_hash.hi, profile_hash.hi), min_block_retired),
-          HashCombine(HashCombine(module_hash.lo, profile_hash.lo), min_block_retired)};
-}
-
 std::shared_ptr<const DecodedModule> GetOrDecodeModule(ArtifactStore* store, const Module& module,
                                                        const ContentHash& module_hash) {
   if (store == nullptr) return std::make_shared<const DecodedModule>(module);
+  // Fused bodies hold at most one FusedOp per instruction.
+  const size_t approx_bytes =
+      ApproxDecodedModuleBytes(module) + module.num_instructions() * sizeof(FusedOp);
   return store->GetOrBuildObject<DecodedModule>(
-      DecodedModuleKey(module_hash), &module, ApproxDecodedModuleBytes(module),
+      DecodedModuleKey(module_hash), &module, approx_bytes,
       [&] { return std::make_shared<const DecodedModule>(module); });
-}
-
-std::shared_ptr<const FusedModule> GetOrBuildFusedModule(
-    ArtifactStore* store, std::shared_ptr<const DecodedModule> decoded,
-    const ContentHash& module_hash, const BlockProfile& profile,
-    const SuperInstrOptions& options) {
-  if (store == nullptr) {
-    return FusedModule::Build(std::move(decoded), profile, options);
-  }
-  const ArtifactKey key =
-      FusedTierKey(module_hash, HashBlockProfile(profile), options.min_block_retired);
-  const Module* owner = &decoded->module();
-  // Budget estimate without building: fused ops can never exceed the
-  // module's instruction count.
-  const size_t approx_bytes = owner->num_instructions() * sizeof(FusedOp);
-  return store->GetOrBuildObject<FusedModule>(
-      key, owner, approx_bytes, [&] { return FusedModule::Build(decoded, profile, options); });
 }
 
 std::shared_ptr<const Ticfg> GetOrBuildTicfg(ArtifactStore* store, const Module& module,

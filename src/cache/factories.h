@@ -29,10 +29,7 @@ namespace gist {
 class Module;
 class Ticfg;
 class DecodedModule;
-class FusedModule;
-struct BlockProfile;
 struct StaticSlice;
-struct SuperInstrOptions;
 struct PtDecodeResult;
 
 // 128-bit content hash: two independent FNV-1a passes over the same bytes.
@@ -45,9 +42,6 @@ ContentHash HashContent(const void* data, size_t size);
 // Hashes the module's full textual form — the stable content identity every
 // module-derived artifact keys on.
 ContentHash HashModule(const Module& module);
-// Hashes all four counter arrays of an aggregated profile shard — the
-// selection input of the superinstruction tier (DESIGN.md §12).
-ContentHash HashBlockProfile(const BlockProfile& profile);
 
 // --- key derivation (kept adjacent to the builders below) -------------------
 ArtifactKey DecodedModuleKey(const ContentHash& module_hash);
@@ -56,8 +50,6 @@ ArtifactKey SliceKey(const ContentHash& module_hash, InstrId failure);
 ArtifactKey PtDecodeKey(const ContentHash& module_hash, CoreId core,
                         const std::vector<uint8_t>& bytes);
 ArtifactKey PlanRotationsKey(const ContentHash& module_hash, uint64_t plan_hash, uint32_t slots);
-ArtifactKey FusedTierKey(const ContentHash& module_hash, const ContentHash& profile_hash,
-                         uint64_t min_block_retired);
 
 // --- factories --------------------------------------------------------------
 // Object tier: the DecodedModule borrows instruction pointers from `module`,
@@ -68,16 +60,6 @@ std::shared_ptr<const DecodedModule> GetOrDecodeModule(ArtifactStore* store, con
 // Object tier: the Ticfg holds CFG references into `module`.
 std::shared_ptr<const Ticfg> GetOrBuildTicfg(ArtifactStore* store, const Module& module,
                                              const ContentHash& module_hash);
-
-// Object tier: superinstruction selection + fused bodies (DESIGN.md §12),
-// keyed on (module hash, aggregated profile hash, selection threshold) so a
-// warm fleet diagnosing the same failure skips re-selection and
-// re-compilation. The FusedModule borrows DecodedBlock pointers from
-// `decoded`, whose Module is the entry's owner.
-std::shared_ptr<const FusedModule> GetOrBuildFusedModule(
-    ArtifactStore* store, std::shared_ptr<const DecodedModule> decoded,
-    const ContentHash& module_hash, const BlockProfile& profile,
-    const SuperInstrOptions& options);
 
 // Serialized tier: backward slice per failing statement (disk-capable).
 std::shared_ptr<const StaticSlice> GetOrComputeSlice(ArtifactStore* store, const Ticfg& ticfg,

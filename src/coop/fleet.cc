@@ -44,12 +44,10 @@ double Fleet::PacingSecondsFor(uint64_t run_index) const {
   return options_.mean_run_spacing_seconds * rng.NextDouble() * 2.0;
 }
 
-void Fleet::FindFirstFailure(ThreadPool& pool, FleetResult* result, uint64_t* next_run_index,
-                             BlockProfile* selection_profile) {
+void Fleet::FindFirstFailure(ThreadPool& pool, FleetResult* result, uint64_t* next_run_index) {
   const uint32_t batch_size = BatchSize(pool);
   FlightRecorder* recorder = options_.recorder;
   HotPathProfiler* profiler = options_.profiler;
-  const bool collect_shards = profiler != nullptr || selection_profile != nullptr;
   std::optional<RunMetricsPublisher> publisher;
   if (recorder != nullptr) {
     publisher.emplace(&recorder->metrics());
@@ -60,9 +58,8 @@ void Fleet::FindFirstFailure(ThreadPool& pool, FleetResult* result, uint64_t* ne
         std::min<uint64_t>(batch_size, options_.max_first_failure_runs - base));
     std::vector<FailureReport> failures(batch);
     std::vector<RunStats> probe_stats(batch);
-    // One shard per probe; only the consumed prefix reaches the profiler
-    // and the super-tier selection profile.
-    std::vector<BlockProfile> probe_profiles(collect_shards ? batch : 0);
+    // One shard per probe; only the consumed prefix reaches the profiler.
+    std::vector<BlockProfile> probe_profiles(profiler != nullptr ? batch : 0);
     pool.ParallelFor(batch, [&](uint64_t k) {
       LogRunScope run_scope(static_cast<int64_t>(base + k));
       const Workload workload = WorkloadFor(base + k);
@@ -71,7 +68,7 @@ void Fleet::FindFirstFailure(ThreadPool& pool, FleetResult* result, uint64_t* ne
       vm_options.max_steps = options_.max_steps_per_run;
       // All probes interpret from the server's shared pre-decoded cache.
       vm_options.decoded = server_.decoded().get();
-      if (collect_shards) {
+      if (profiler != nullptr) {
         vm_options.profile = &probe_profiles[k];
       }
       Vm vm(module_, workload, vm_options);
@@ -123,14 +120,6 @@ void Fleet::FindFirstFailure(ThreadPool& pool, FleetResult* result, uint64_t* ne
         profiler->AddRun(probe_profiles[k], MakeProfiledSample(probe_stats[k]));
       }
     }
-    if (selection_profile != nullptr) {
-      // The tier's selection input merges exactly the consumed prefix, so
-      // which blocks fuse is a pure function of the fleet seed — never of
-      // `jobs` or which speculated probe happened to finish.
-      for (uint32_t k = 0; k < probes_consumed; ++k) {
-        selection_profile->Merge(probe_profiles[k]);
-      }
-    }
     if (winner != batch) {
       result->first_failure_found = true;
       result->first_failure = failures[winner];
@@ -168,34 +157,17 @@ FleetResult Fleet::Run(const RootCauseCheck& root_cause_check) {
   }
 
   // --- Phase 1: wait for the first failure in unmonitored production -------
-  // Super-tier selection feeds on phase-1 hotness (the probes are the only
-  // runs that exist before the plan does); probes themselves always execute
-  // the fast path, since there is nothing fused yet.
-  const bool needs_super =
-      options_.gist.tier == ExecTier::kSuper || options_.tier_for_run != nullptr;
-  BlockProfile selection_profile;
   uint64_t run_index = 0;
-  FindFirstFailure(pool, &result, &run_index, needs_super ? &selection_profile : nullptr);
+  FindFirstFailure(pool, &result, &run_index);
   if (!result.first_failure_found) {
     GIST_LOG(kWarning) << "fleet: no failure observed in production budget";
     return result;
   }
   server_.ReportFailure(result.first_failure);
-  if (needs_super) {
-    // Compile (or warm-start from the artifact store) the superinstruction
-    // tier once; every snapshot below ships it to super-tier runs.
-    server_.BuildFusedTier(selection_profile);
-  }
 
   // --- Phase 2: AsT iterations ---------------------------------------------
   double overhead_sum = 0.0;
   uint64_t overhead_samples = 0;
-  // Fused-tier activity over the consumed prefix. Tier-dependent by nature
-  // (like cache stats), so it reaches the recorder only through the
-  // annotation side channel at the end — never MetricsJson()/TraceJson().
-  uint64_t fused_chains = 0;
-  uint64_t fused_blocks = 0;
-  uint64_t fused_retired = 0;
   const CostModel cost_model;
 
   for (uint32_t iteration = 0; iteration < options_.max_iterations; ++iteration) {
@@ -256,18 +228,8 @@ FleetResult Fleet::Run(const RootCauseCheck& root_cause_check) {
             degradation.watchpoint_slots = fault.granted_watchpoint_slots;
           }
         }
-        if (options_.tier_for_run != nullptr) {
-          // Tier mixing: each run's tier is a pure function of its index,
-          // like its workload and fault plan, so the mix is jobs-invariant.
-          GistOptions per_run_options = gist_options;
-          per_run_options.tier = options_.tier_for_run(index);
-          runs[k] = RunMonitored(module_, snapshot, client + k, WorkloadFor(index),
-                                 per_run_options, index + 1, options_.max_steps_per_run,
-                                 degradation);
-        } else {
-          runs[k] = RunMonitored(module_, snapshot, client + k, WorkloadFor(index), gist_options,
-                                 index + 1, options_.max_steps_per_run, degradation);
-        }
+        runs[k] = RunMonitored(module_, snapshot, client + k, WorkloadFor(index), gist_options,
+                               index + 1, options_.max_steps_per_run, degradation);
         GIST_LOG(kDebug) << "monitored run done: " << runs[k].result.stats.steps << " steps, "
                          << (runs[k].trace.failed ? "failing" : "ok");
       });
@@ -283,9 +245,6 @@ FleetResult Fleet::Run(const RootCauseCheck& root_cause_check) {
         MonitoredRun& run = runs[k];
         const uint64_t index = run_index + k;
         ++consumed;
-        fused_chains += run.result.stats.fused_chains;
-        fused_blocks += run.result.stats.fused_blocks;
-        fused_retired += run.result.stats.fused_retired;
 
         // Flight recorder: the consumed run advances the virtual clock by
         // its retired instructions and publishes its client-side telemetry,
@@ -602,17 +561,6 @@ FleetResult Fleet::Run(const RootCauseCheck& root_cause_check) {
     recorder->Annotate("cache.misses", static_cast<double>(total.misses));
     recorder->Annotate("cache.evictions", static_cast<double>(total.evictions));
     recorder->Annotate("cache.bytes", static_cast<double>(total.bytes));
-  }
-  if (recorder != nullptr && server_.fused() != nullptr) {
-    // Fused-tier telemetry is tier-dependent (a fast-tier fleet reports
-    // zeros), so it rides the same annotation side channel as cache stats.
-    const FusedTierStats& tier = server_.fused()->stats();
-    recorder->Annotate("fused.blocks_selected", static_cast<double>(tier.fused_blocks));
-    recorder->Annotate("fused.blocks_fusable", static_cast<double>(tier.fusable_blocks));
-    recorder->Annotate("fused.block_fraction", tier.fused_block_fraction());
-    recorder->Annotate("fused.chains", static_cast<double>(fused_chains));
-    recorder->Annotate("fused.blocks_executed", static_cast<double>(fused_blocks));
-    recorder->Annotate("fused.retired", static_cast<double>(fused_retired));
   }
   return result;
 }

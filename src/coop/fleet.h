@@ -111,20 +111,10 @@ struct FleetOptions {
   // coordinator — and records one CampaignIterationSample at the end of each
   // AsT iteration (sketch statement sequence, top predictor ranking,
   // rotation coverage, survivorship). The resulting gist.campaign.v1 journal
-  // is bit-identical for every `jobs`, execution tier, and cache state, like
-  // the recorder's exports. Null records nothing and costs nothing.
+  // is bit-identical for every `jobs`, dispatch tier (`gist.tier`: fast or
+  // reference), and cache state, like the recorder's exports. Null records
+  // nothing and costs nothing.
   CampaignTracker* campaign = nullptr;
-  // Per-run execution-tier override (DESIGN.md §12): when set, monitored run
-  // `run_index` executes under tier_for_run(run_index) instead of
-  // `gist.tier`. The callback must be a pure function of the run index so
-  // the fleet stays bit-identical at every `jobs`. Setting it (or
-  // `gist.tier == kSuper`) makes phase 1 collect probe profile shards and
-  // the server compile the superinstruction tier from the consumed prefix.
-  // Tier choice never changes a run result or a pipeline-visible export byte
-  // (only the dispatcher's own "engine." batching counters may differ) — this
-  // exists so tests can mix tiers across workers of one fleet and assert
-  // exactly that.
-  std::function<ExecTier(uint64_t run_index)> tier_for_run;
 };
 
 struct FleetIterationStats {
@@ -179,12 +169,8 @@ class Fleet {
   // Phase 1: uninstrumented production until the target failure first
   // manifests. Probes run in parallel; the earliest failing run index wins
   // deterministically. Returns the next unconsumed run index via
-  // `next_run_index`. Non-null `selection_profile` additionally merges the
-  // consumed probes' BlockProfile shards in run-index order — the
-  // superinstruction tier's selection input, a pure function of the consumed
-  // prefix and therefore of the fleet seed alone (DESIGN.md §12).
-  void FindFirstFailure(ThreadPool& pool, FleetResult* result, uint64_t* next_run_index,
-                        BlockProfile* selection_profile);
+  // `next_run_index`.
+  void FindFirstFailure(ThreadPool& pool, FleetResult* result, uint64_t* next_run_index);
 
   // The workload of production run `run_index` (its private rng stream).
   Workload WorkloadFor(uint64_t run_index) const;

@@ -172,11 +172,7 @@ PlanSnapshot GistServer::Snapshot() const {
         });
   }
   return PlanSnapshot(plan_, options_.watchpoint_slots, plan_version_, sigma(), decoded_,
-                      std::move(rotations), fused_);
-}
-
-void GistServer::BuildFusedTier(const BlockProfile& profile) {
-  fused_ = GetOrBuildFusedModule(options_.store, decoded_, module_hash_, profile, options_.super);
+                      std::move(rotations));
 }
 
 Result<FailureSketch> GistServer::BuildSketch() const {
@@ -263,6 +259,9 @@ RunMetricsPublisher::RunMetricsPublisher(MetricsRegistry* metrics)
       engine_flushed_mem_(metrics->CounterSlot("engine.flushed_mem_events")),
       engine_dispatched_(metrics->CounterSlot("engine.dispatched_events")),
       engine_flush_size_(metrics->HistogramSlot("engine.flush_size")),
+      engine_fused_chains_(metrics->CounterSlot("engine.fused_chains")),
+      engine_fused_blocks_(metrics->CounterSlot("engine.fused_blocks")),
+      engine_fused_retired_(metrics->CounterSlot("engine.fused_retired")),
       monitored_runs_(metrics->CounterSlot("vm.monitored_runs")),
       pt_bytes_(metrics->CounterSlot("pt.encode.bytes")),
       pt_toggles_(metrics->CounterSlot("pt.encode.toggles")),
@@ -288,6 +287,9 @@ void RunMetricsPublisher::PublishVm(const RunStats& stats) {
   *engine_flushed_retired_ += stats.flushed_retired_events;
   *engine_flushed_mem_ += stats.flushed_mem_events;
   *engine_dispatched_ += stats.dispatched_events;
+  *engine_fused_chains_ += stats.fused_chains;
+  *engine_fused_blocks_ += stats.fused_blocks;
+  *engine_fused_retired_ += stats.fused_retired;
   // Same fold as MetricsRegistry::MergeBuckets, straight into the slot.
   metrics_->MergeBuckets("engine.flush_size", stats.flush_size_log2,
                          RunStats::kFlushSizeBuckets, stats.batch_deliveries,
@@ -375,13 +377,7 @@ MonitoredRun RunMonitored(const Module& module, const PlanSnapshot& snapshot,
   vm_options.observers = {&runtime};
   vm_options.hook = &runtime;
   vm_options.decoded = snapshot.decoded().get();  // shared fleet-wide cache
-  if (options.tier == ExecTier::kSuper) {
-    // Null when the server never built the tier: the run then executes the
-    // fast path — same bytes either way, just without fusion (DESIGN.md §12).
-    vm_options.fused = snapshot.fused().get();
-  } else if (options.tier == ExecTier::kReference) {
-    vm_options.reference_dispatch = true;  // the always-dispatch oracle
-  }
+  vm_options.reference_dispatch = options.tier == ExecTier::kReference;
   if (options.collect_profile) {
     vm_options.profile = &run.profile;
   }

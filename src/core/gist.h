@@ -29,7 +29,7 @@
 #include "src/core/sketch.h"
 #include "src/obs/metrics.h"
 #include "src/obs/profiler.h"
-#include "src/vm/superinstr.h"
+#include "src/vm/vm.h"
 
 namespace gist {
 
@@ -53,14 +53,10 @@ struct GistOptions {
   // outlive the server. Null: every artifact is built fresh — behavior and
   // every export are byte-identical either way.
   ArtifactStore* store = nullptr;
-  // Execution tier for monitored runs (DESIGN.md §12). kSuper additionally
-  // requires the server to have built a FusedModule (BuildFusedTier) and the
-  // snapshot to carry it; until then super-tier runs execute exactly like
-  // kFast. Tier choice never changes any run result or export byte.
+  // Dispatch for monitored runs: the fast path (fused bodies included,
+  // DESIGN.md §12) or the reference oracle. Tier choice never changes any
+  // run result or export byte outside the "engine." metrics namespace.
   ExecTier tier = ExecTier::kFast;
-  // Superinstruction selection policy; `super.min_block_retired = 0` fuses
-  // every fusable block (the deopt-stress configuration tests use).
-  SuperInstrOptions super;
   // Shadow mode for the streaming statistics (DESIGN.md §14, §15): every
   // sketch build additionally runs the batch recompute over the stored
   // traces and CHECK-fails unless it fingerprints byte-identically to the
@@ -127,15 +123,6 @@ class GistServer {
   // construction; immutable and safe to share across concurrent runs).
   const std::shared_ptr<const DecodedModule>& decoded() const { return decoded_; }
 
-  // Compiles (or re-fetches from the artifact store) the superinstruction
-  // tier from an aggregated block profile (DESIGN.md §12). Idempotent per
-  // profile: subsequent Snapshot() calls carry the result, and super-tier
-  // runs of those snapshots execute fused bodies. Coordinator-thread only,
-  // like every other server mutation.
-  void BuildFusedTier(const BlockProfile& profile);
-
-  // The compiled superinstruction tier, or null before BuildFusedTier.
-  const std::shared_ptr<const FusedModule>& fused() const { return fused_; }
   uint32_t sigma() const {
     GIST_CHECK(has_target_);
     return ast_->sigma();
@@ -234,7 +221,6 @@ class GistServer {
   ContentHash module_hash_;
   std::shared_ptr<const Ticfg> ticfg_;
   std::shared_ptr<const DecodedModule> decoded_;
-  std::shared_ptr<const FusedModule> fused_;
   bool has_target_ = false;
   uint64_t target_hash_ = 0;
   StaticSlice slice_;
@@ -315,6 +301,9 @@ class RunMetricsPublisher {
   uint64_t* engine_flushed_mem_;
   uint64_t* engine_dispatched_;
   Histogram* engine_flush_size_;
+  uint64_t* engine_fused_chains_;
+  uint64_t* engine_fused_blocks_;
+  uint64_t* engine_fused_retired_;
   // Monitored-run slots.
   uint64_t* monitored_runs_;
   uint64_t* pt_bytes_;

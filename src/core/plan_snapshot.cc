@@ -23,14 +23,12 @@ void FilterArmSites(const std::unordered_set<InstrId>& mine,
 
 PlanSnapshot::PlanSnapshot(InstrumentationPlan plan, uint32_t watchpoint_slots, uint64_t version,
                            uint32_t sigma, std::shared_ptr<const DecodedModule> decoded,
-                           std::shared_ptr<const RotationList> rotations,
-                           std::shared_ptr<const FusedModule> fused)
+                           std::shared_ptr<const RotationList> rotations)
     : plan_(std::move(plan)),
       slots_(watchpoint_slots),
       version_(version),
       sigma_(sigma),
       decoded_(std::move(decoded)),
-      fused_(std::move(fused)),
       rotations_(std::move(rotations)) {
   if (rotations_ != nullptr) {
     return;  // caller supplied the materialized list (artifact-store reuse)

@@ -28,8 +28,6 @@
 
 namespace gist {
 
-class FusedModule;
-
 class PlanSnapshot {
  public:
   using RotationList = std::vector<InstrumentationPlan>;
@@ -38,18 +36,15 @@ class PlanSnapshot {
   // `version` counts the server's replans (any refinement discovery or AsT
   // advance bumps it); `sigma` records the AsT window size the plan tracks.
   // `decoded` optionally ships the server's pre-decoded module cache so every
-  // run of the snapshot interprets from the same read-only DecodedModule
-  // instead of re-decoding (DESIGN.md §7). `rotations` optionally supplies
-  // an already-materialized rotation list for exactly this (plan, slots) —
-  // the artifact store hands the same list to every re-freeze of an
-  // unchanged plan (DESIGN.md §11); when null the snapshot builds its own.
-  // `fused` optionally ships the server's superinstruction tier (DESIGN.md
-  // §12) so super-tier runs of the snapshot share one compiled FusedModule;
-  // null when the tier was never built or the caller runs fast/reference.
+  // run of the snapshot interprets from the same read-only DecodedModule and
+  // its fused bodies instead of re-decoding (DESIGN.md §7, §12).
+  // `rotations` optionally supplies an already-materialized rotation list for
+  // exactly this (plan, slots) — the artifact store hands the same list to
+  // every re-freeze of an unchanged plan (DESIGN.md §11); when null the
+  // snapshot builds its own.
   PlanSnapshot(InstrumentationPlan plan, uint32_t watchpoint_slots, uint64_t version,
                uint32_t sigma, std::shared_ptr<const DecodedModule> decoded = nullptr,
-               std::shared_ptr<const RotationList> rotations = nullptr,
-               std::shared_ptr<const FusedModule> fused = nullptr);
+               std::shared_ptr<const RotationList> rotations = nullptr);
 
   // Materializes the §3.2.3 rotation windows of `plan` for `slots`-register
   // clients; empty when the watch set fits the slots.
@@ -73,17 +68,12 @@ class PlanSnapshot {
   // without one (runs then decode privately).
   const std::shared_ptr<const DecodedModule>& decoded() const { return decoded_; }
 
-  // The shared superinstruction tier compiled from decoded(), or null when
-  // the snapshot carries none (fast/reference runs, or no profile yet).
-  const std::shared_ptr<const FusedModule>& fused() const { return fused_; }
-
  private:
   InstrumentationPlan plan_;
   uint32_t slots_ = 0;
   uint64_t version_ = 0;
   uint32_t sigma_ = 0;
   std::shared_ptr<const DecodedModule> decoded_;
-  std::shared_ptr<const FusedModule> fused_;
   // Rotation r restricts the watch set to sorted accesses
   // [r, r + slots) mod |accesses|; indexed by (client * slots) mod size.
   // Shared immutably: re-freezes of an unchanged plan reuse one list.

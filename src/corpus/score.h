@@ -17,7 +17,7 @@
 #include "src/core/accuracy.h"
 #include "src/corpus/corpus.h"
 #include "src/faultsim/faultsim.h"
-#include "src/vm/superinstr.h"
+#include "src/vm/vm.h"
 
 namespace gist {
 

@@ -9,7 +9,6 @@
 #include "src/support/check.h"
 #include "src/support/str.h"
 #include "src/vm/decoded_module.h"
-#include "src/vm/superinstr.h"
 
 namespace gist {
 namespace {
@@ -89,7 +88,6 @@ void HotPathProfiler::Attach(const DecodedModule& decoded, std::string app) {
       info.function = source.name();
       info.label = source.block(block.id).label();
       info.size = block.size;
-      info.fusable = IsFusableBlock(block);
       if (block.size > 0) {
         const DecodedInstr& last = block.instrs[block.size - 1];
         if (last.op == Opcode::kBr) {
@@ -148,37 +146,22 @@ std::string HotPathProfiler::ProfileJson() const {
   out += "  \"app\": \"" + EscapeJson(app_) + "\",\n";
   out += "  \"runs\": " + U64(runs_) + ",\n";
 
-  // Superinstruction-tier selection over this aggregated profile: a block is
-  // "fused" when its shape permits fusion and its retired mass clears the
-  // tier's default threshold — the exact predicate FusedModule::Build applies
-  // (src/vm/superinstr.h), so the export and the tier can never disagree.
-  auto fused = [&](size_t i) {
-    return info_[i].fusable && total_.retired[i] >= kSuperMinBlockRetired;
-  };
-
   uint64_t retired = 0;
   uint64_t entries = 0;
   uint64_t taken = 0;
   uint64_t not_taken = 0;
   uint64_t executed = 0;
-  uint64_t fused_retired = 0;
-  uint64_t fused_blocks = 0;
   for (size_t i = 0; i < info_.size(); ++i) {
     retired += total_.retired[i];
     entries += total_.exec[i];
     taken += total_.taken[i];
     not_taken += total_.not_taken[i];
     executed += (total_.exec[i] != 0 || total_.retired[i] != 0) ? 1 : 0;
-    if (fused(i)) {
-      fused_retired += total_.retired[i];
-      ++fused_blocks;
-    }
   }
   out += "  \"totals\": {\"retired\": " + U64(retired) + ", \"block_entries\": " + U64(entries) +
          ", \"taken\": " + U64(taken) + ", \"not_taken\": " + U64(not_taken) +
          ", \"blocks_executed\": " + U64(executed) + ", \"blocks_total\": " + U64(info_.size()) +
-         ", \"fused_retired\": " + U64(fused_retired) + ", \"fused_blocks\": " +
-         U64(fused_blocks) + "},\n";
+         "},\n";
 
   // Per-block histogram, block-index (function-major) order; blocks a fleet
   // never touched are elided to keep profiles reviewable.
@@ -190,13 +173,13 @@ std::string HotPathProfiler::ProfileJson() const {
     }
     out += StrFormat("%s\n    {\"id\": %zu, \"function\": \"%s\", \"block\": \"%s\", "
                      "\"size\": %u, \"exec\": %llu, \"retired\": %llu, \"taken\": %llu, "
-                     "\"not_taken\": %llu, \"fused\": %d}",
+                     "\"not_taken\": %llu}",
                      first ? "" : ",", i, EscapeJson(info_[i].function).c_str(),
                      EscapeJson(info_[i].label).c_str(), info_[i].size,
                      static_cast<unsigned long long>(total_.exec[i]),
                      static_cast<unsigned long long>(total_.retired[i]),
                      static_cast<unsigned long long>(total_.taken[i]),
-                     static_cast<unsigned long long>(total_.not_taken[i]), fused(i) ? 1 : 0);
+                     static_cast<unsigned long long>(total_.not_taken[i]));
     first = false;
   }
   out += first ? "],\n" : "\n  ],\n";
@@ -222,8 +205,8 @@ std::string HotPathProfiler::ProfileJson() const {
   out += first ? "],\n" : "\n  ],\n";
 
   // Hot chains: seed at the hottest blocks by retired count, extend each
-  // chain along its dominant outgoing edge — the block sequences a
-  // superinstruction tier would fuse first (ROADMAP item 2).
+  // chain along its dominant outgoing edge — the hottest straight-line
+  // paths through the module.
   std::vector<uint32_t> order(info_.size());
   for (uint32_t i = 0; i < order.size(); ++i) {
     order[i] = i;
@@ -525,20 +508,10 @@ class JsonReader {
   size_t pos_ = 0;
 };
 
-struct BlockCount {
-  uint64_t retired = 0;
-  bool fused = false;  // the export's superinstruction-tier selection bit
-};
-
-struct ProfileTotals {
-  uint64_t retired = 0;
-  uint64_t fused_retired = 0;  // absent in pre-tier exports: reads as 0
-};
-
-// Parses one profile export into a (function;block -> counts) map plus the
-// totals figures. Empty error on success.
+// Parses one profile export into a (function;block -> retired) map plus the
+// totals.retired figure. Empty error on success.
 bool LoadProfileBlocks(const std::string& json, const char* which,
-                       std::map<std::string, BlockCount>* blocks, ProfileTotals* total,
+                       std::map<std::string, uint64_t>* blocks, uint64_t* total_retired,
                        std::string* error) {
   JsonValue root;
   if (!JsonReader(json).Parse(&root) || root.kind != JsonValue::kObject) {
@@ -559,25 +532,17 @@ bool LoadProfileBlocks(const std::string& json, const char* which,
     *error = StrFormat("%s: missing totals.retired or blocks", which);
     return false;
   }
-  total->retired = retired->number;
-  const JsonValue* fused_retired = totals->Find("fused_retired");
-  if (fused_retired != nullptr && fused_retired->kind == JsonValue::kNumber) {
-    total->fused_retired = fused_retired->number;
-  }
+  *total_retired = retired->number;
   for (const JsonValue& block : array->items) {
     const JsonValue* function = block.Find("function");
     const JsonValue* label = block.Find("block");
     const JsonValue* count = block.Find("retired");
-    const JsonValue* fused = block.Find("fused");
     if (function == nullptr || label == nullptr || count == nullptr ||
         count->kind != JsonValue::kNumber) {
       *error = StrFormat("%s: malformed block entry", which);
       return false;
     }
-    BlockCount& entry = (*blocks)[function->str + ";" + label->str];
-    entry.retired += count->number;
-    entry.fused = entry.fused || (fused != nullptr && fused->kind == JsonValue::kNumber &&
-                                  fused->number != 0);
+    (*blocks)[function->str + ";" + label->str] += count->number;
   }
   return true;
 }
@@ -587,10 +552,10 @@ bool LoadProfileBlocks(const std::string& json, const char* which,
 ProfileDiffResult DiffProfiles(const std::string& baseline_json, const std::string& current_json,
                                const ProfileDiffOptions& options) {
   ProfileDiffResult result;
-  std::map<std::string, BlockCount> before;
-  std::map<std::string, BlockCount> after;
-  ProfileTotals total_before;
-  ProfileTotals total_after;
+  std::map<std::string, uint64_t> before;
+  std::map<std::string, uint64_t> after;
+  uint64_t total_before = 0;
+  uint64_t total_after = 0;
   if (!LoadProfileBlocks(baseline_json, "baseline", &before, &total_before, &result.error) ||
       !LoadProfileBlocks(current_json, "current", &after, &total_after, &result.error)) {
     return result;
@@ -602,29 +567,26 @@ ProfileDiffResult DiffProfiles(const std::string& baseline_json, const std::stri
     uint64_t before = 0;
     uint64_t after = 0;
     uint64_t permille = 0;  // relative drift vs the baseline count
-    bool fused_before = false;
-    bool fused_after = false;
   };
   std::vector<Drift> regressed;
   std::vector<Drift> improved;
   // Walk the union of keys; both maps are ordered, so the scan (and with it
   // the report) is deterministic.
-  auto classify = [&](const std::string& key, const BlockCount& b, const BlockCount& a) {
-    if (a.retired == b.retired) {
+  auto classify = [&](const std::string& key, uint64_t b, uint64_t a) {
+    if (a == b) {
       return;
     }
-    const uint64_t delta = a.retired > b.retired ? a.retired - b.retired : b.retired - a.retired;
-    const uint64_t permille = delta * 1000 / std::max<uint64_t>(b.retired, 1);
-    (a.retired > b.retired ? regressed : improved)
-        .push_back(Drift{key, b.retired, a.retired, permille, b.fused, a.fused});
+    const uint64_t delta = a > b ? a - b : b - a;
+    const uint64_t permille = delta * 1000 / std::max<uint64_t>(b, 1);
+    (a > b ? regressed : improved).push_back(Drift{key, b, a, permille});
   };
   for (const auto& [key, count] : before) {
     const auto it = after.find(key);
-    classify(key, count, it == after.end() ? BlockCount{} : it->second);
+    classify(key, count, it == after.end() ? 0 : it->second);
   }
   for (const auto& [key, count] : after) {
     if (before.find(key) == before.end()) {
-      classify(key, BlockCount{}, count);
+      classify(key, 0, count);
     }
   }
 
@@ -649,20 +611,11 @@ ProfileDiffResult DiffProfiles(const std::string& baseline_json, const std::stri
 
   result.report = StrFormat("totals.retired: %llu -> %llu; %zu block(s) regressed, %zu improved "
                             "(max drift %llu permille, allowed %llu)\n",
-                            static_cast<unsigned long long>(total_before.retired),
-                            static_cast<unsigned long long>(total_after.retired),
+                            static_cast<unsigned long long>(total_before),
+                            static_cast<unsigned long long>(total_after),
                             regressed.size(), improved.size(),
                             static_cast<unsigned long long>(worst_permille),
                             static_cast<unsigned long long>(options.max_drift_permille));
-  // Superinstruction-tier coverage: how much of the profiled retired mass
-  // sits inside would-be-fused blocks (permille, DESIGN.md §12). Informative,
-  // never a gate — per-block retired drift above already catches any change.
-  auto coverage = [](const ProfileTotals& totals) {
-    return totals.retired == 0 ? 0 : totals.fused_retired * 1000 / totals.retired;
-  };
-  result.report += StrFormat("fused coverage: %llu -> %llu permille\n",
-                             static_cast<unsigned long long>(coverage(total_before)),
-                             static_cast<unsigned long long>(coverage(total_after)));
   auto report_side = [&](const char* title, const std::vector<Drift>& side) {
     if (side.empty()) {
       return;
@@ -670,12 +623,11 @@ ProfileDiffResult DiffProfiles(const std::string& baseline_json, const std::stri
     result.report += StrFormat("top %s blocks:\n", title);
     for (size_t i = 0; i < side.size() && i < options.top_n; ++i) {
       const Drift& drift = side[i];
-      result.report += StrFormat("  %-40s retired %llu -> %llu (%llu permille)  fused %d -> %d\n",
+      result.report += StrFormat("  %-40s retired %llu -> %llu (%llu permille)\n",
                                  drift.key.c_str(),
                                  static_cast<unsigned long long>(drift.before),
                                  static_cast<unsigned long long>(drift.after),
-                                 static_cast<unsigned long long>(drift.permille),
-                                 drift.fused_before ? 1 : 0, drift.fused_after ? 1 : 0);
+                                 static_cast<unsigned long long>(drift.permille));
     }
   };
   report_side("regressed", regressed);

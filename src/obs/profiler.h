@@ -132,10 +132,9 @@ class HotPathProfiler {
   uint64_t runs() const { return runs_; }
   const BlockProfile& totals() const { return total_; }
 
-  // Stable sorted JSON ("gist.profile.v1"): totals, per-block histograms
-  // (each block carrying the superinstruction tier's would-select "fused"
-  // bit), CFG edge profile, ranked hot chains, watchpoint attribution,
-  // dispatch breakdown. Integers only; byte-identical across platforms.
+  // Stable sorted JSON ("gist.profile.v1"): totals, per-block histograms,
+  // CFG edge profile, ranked hot chains, watchpoint attribution, dispatch
+  // breakdown. Integers only; byte-identical across platforms.
   std::string ProfileJson() const;
   // Collapsed-stack flamegraph format: one "app;function;block count" line
   // per executed block, in block-index order.
@@ -150,9 +149,6 @@ class HotPathProfiler {
     std::string function;
     std::string label;
     uint32_t size = 0;
-    // Shape permits superinstruction fusion (IsFusableBlock, shared with the
-    // tier's selection pass so export and selection can never disagree).
-    bool fusable = false;
     // Successor profile indices (kNoSuccessor when absent): a conditional
     // terminator has taken/not_taken, an unconditional jump has jump.
     uint32_t taken = kNoSuccessor;

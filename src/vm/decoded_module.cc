@@ -104,6 +104,76 @@ ExecOp ExecOpFor(const Instruction& instr) {
   GIST_UNREACHABLE("bad opcode");
 }
 
+// The straight-line subset: ops that cannot block, switch threads, grow the
+// stack, or emit per-op control-flow events. Faulting is fine (div-by-zero,
+// memory faults, assert) — the fused executor syncs the frame and raises the
+// identical failure.
+bool IsFusableOp(const DecodedInstr& instr) {
+  switch (instr.exec) {
+    case ExecOp::kConst:
+    case ExecOp::kMove:
+    case ExecOp::kNot:
+    case ExecOp::kAdd:
+    case ExecOp::kSub:
+    case ExecOp::kMul:
+    case ExecOp::kDiv:
+    case ExecOp::kRem:
+    case ExecOp::kEq:
+    case ExecOp::kNe:
+    case ExecOp::kLt:
+    case ExecOp::kLe:
+    case ExecOp::kGt:
+    case ExecOp::kGe:
+    case ExecOp::kAnd:
+    case ExecOp::kOr:
+    case ExecOp::kXor:
+    case ExecOp::kShl:
+    case ExecOp::kShr:
+    case ExecOp::kLoad:
+    case ExecOp::kStore:
+    case ExecOp::kAddrOfGlobal:
+    case ExecOp::kGep:
+    case ExecOp::kAlloc:
+    case ExecOp::kFree:
+    case ExecOp::kAssert:
+    case ExecOp::kInput:
+    case ExecOp::kPrint:
+    case ExecOp::kNop:
+      break;
+    default:
+      return false;
+  }
+  // Register-writing ops must have a real destination so the fused body can
+  // store unconditionally (the interpreter's set_reg tolerates kNoReg; the
+  // fused loop doesn't pay that branch).
+  switch (instr.exec) {
+    case ExecOp::kStore:
+    case ExecOp::kFree:
+    case ExecOp::kAssert:
+    case ExecOp::kPrint:
+    case ExecOp::kNop:
+      return true;
+    default:
+      return instr.dst != kNoReg;
+  }
+}
+
+bool IsFusableBlock(const DecodedBlock& block) {
+  if (block.size == 0) {
+    return false;
+  }
+  const DecodedInstr& term = block.instrs[block.size - 1];
+  if (term.exec != ExecOp::kBr && term.exec != ExecOp::kJmp) {
+    return false;
+  }
+  for (uint32_t i = 0; i + 1 < block.size; ++i) {
+    if (!IsFusableOp(block.instrs[i])) {
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 DecodedModule::DecodedModule(const Module& module) : module_(module) {
@@ -175,6 +245,60 @@ DecodedModule::DecodedModule(const Module& module) : module_(module) {
         }
       }
     }
+  }
+  BuildFusedBlocks();
+}
+
+void DecodedModule::BuildFusedBlocks() {
+  std::vector<const DecodedBlock*> fusable;
+  for (const DecodedFunction& function : functions_) {
+    for (const DecodedBlock& block : function.blocks) {
+      if (IsFusableBlock(block)) {
+        fusable.push_back(&block);
+      }
+    }
+  }
+  // Sized up front so FusedBlock addresses stay stable for the entry table.
+  fused_blocks_.resize(fusable.size());
+  fused_entries_.assign(num_blocks_, nullptr);
+  for (size_t i = 0; i < fusable.size(); ++i) {
+    const DecodedBlock& block = *fusable[i];
+    FusedBlock& body = fused_blocks_[i];
+    body.size = block.size;
+    body.profile_index = block.profile_index;
+    body.block = &block;
+    body.ops.reserve(block.size);
+    for (uint32_t k = 0; k + 1 < block.size; ++k) {
+      const DecodedInstr& instr = block.instrs[k];
+      FusedOp op;
+      op.exec = instr.exec;
+      op.dst = instr.dst;
+      op.a = instr.op0;
+      op.b = instr.op1;
+      op.imm = instr.imm;
+      op.global = instr.global;
+      op.src = &instr;
+      body.ops.push_back(op);
+    }
+    const DecodedInstr& term = block.instrs[block.size - 1];
+    body.term = term.exec;
+    body.cond = term.op0;
+    body.taken = term.target0;
+    body.not_taken = term.target1;
+    body.taken_pi = term.target0 != nullptr ? term.target0->profile_index : 0;
+    body.not_taken_pi = term.target1 != nullptr ? term.target1->profile_index : 0;
+    body.term_src = &term;
+    // Sentinel terminator at ops[body_len]: the VM's threaded dispatcher
+    // flows off the last body op straight into the kBr/kJmp handler instead
+    // of exiting and re-entering the dispatch stream (src/vm/vm.cc).
+    FusedOp sentinel;
+    sentinel.exec = term.exec;
+    sentinel.a = term.op0;
+    sentinel.src = &term;
+    body.ops.push_back(sentinel);
+    body.body = body.ops.data();
+    body.body_len = static_cast<uint32_t>(body.ops.size()) - 1;
+    fused_entries_[block.profile_index] = &body;
   }
 }
 

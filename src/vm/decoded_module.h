@@ -15,6 +15,12 @@
 // and validates every register index once at build time, so the interpreter
 // runs unchecked afterwards.
 //
+// Decoding also compiles a fused body for every block whose shape permits it
+// (DESIGN.md §12): a compact op array the interpreter runs straight-line,
+// with no per-op bounds check, hook probe, profile test, or budget check.
+// Every Vm interpreting from the module runs them, subject to the per-run
+// deopt rules in src/vm/vm.cc.
+//
 // A DecodedModule is immutable after construction and holds only const
 // references into the Module, so one instance is safely shared read-only by
 // any number of concurrent VM runs (the fleet builds one per GistServer and
@@ -120,6 +126,44 @@ struct DecodedBlock {
   uint32_t profile_index = 0;
 };
 
+// One straight-line op of a fused body. Hot fields copied inline; `src`
+// reaches back to the DecodedInstr for ids, fault messages, and observer
+// payloads (cold paths only).
+struct FusedOp {
+  ExecOp exec = ExecOp::kNop;
+  Reg dst = kNoReg;
+  Reg a = kNoReg;  // operands[0] when present
+  Reg b = kNoReg;  // operands[1] when present
+  int64_t imm = 0;
+  GlobalId global = 0;
+  const DecodedInstr* src = nullptr;
+};
+
+// One fused basic block: the non-terminator ops (1:1 with instruction
+// indices 0..size-2) followed by a sentinel terminator op at ops[body_len],
+// which the VM's threaded dispatcher executes in-stream — control flows off
+// the last body op straight into the kBr/kJmp handler.
+//
+// The fields the chain touches on every block transition are flattened to
+// the front: `body`/`body_len` alias ops.data()/ops.size()-1 so the hot loop
+// never walks the vector header, and the successor profile indices are baked
+// so the next entry-table lookup needs no detour through the DecodedBlock.
+struct FusedBlock {
+  const FusedOp* body = nullptr;  // == ops.data()
+  uint32_t body_len = 0;          // == ops.size() - 1 (excludes the sentinel)
+  ExecOp term = ExecOp::kJmp;     // kBr or kJmp only
+  Reg cond = kNoReg;              // kBr: condition register
+  uint32_t taken_pi = 0;          // == taken->profile_index
+  uint32_t not_taken_pi = 0;      // == not_taken->profile_index (kBr only)
+  const DecodedBlock* taken = nullptr;      // kBr target0 / kJmp target
+  const DecodedBlock* not_taken = nullptr;  // kBr target1
+  const DecodedInstr* term_src = nullptr;
+  uint32_t size = 0;  // source block size == ops.size() + 1
+  uint32_t profile_index = 0;
+  const DecodedBlock* block = nullptr;  // source block (deopt frame sync)
+  std::vector<FusedOp> ops;             // stable storage behind `body`
+};
+
 struct DecodedFunction {
   FunctionId id = kNoFunction;
   uint32_t num_regs = 0;
@@ -151,10 +195,20 @@ class DecodedModule {
   // the BlockProfile arrays.
   uint32_t num_blocks() const { return num_blocks_; }
 
+  // Fused bodies indexed by DecodedBlock::profile_index; null where the
+  // block is not fusable: it holds a call, return, thread op, or lock
+  // (anything that can block, switch threads, or grow the stack), or its
+  // terminator is not kBr/kJmp.
+  const std::vector<const FusedBlock*>& fused_entries() const { return fused_entries_; }
+
  private:
+  void BuildFusedBlocks();
+
   const Module& module_;
   std::vector<DecodedFunction> functions_;
   uint32_t num_blocks_ = 0;
+  std::vector<FusedBlock> fused_blocks_;          // stable storage for fused_entries_
+  std::vector<const FusedBlock*> fused_entries_;  // by profile_index
 };
 
 }  // namespace gist

@@ -19,6 +19,18 @@ uint32_t FlushBucket(size_t size) {
 
 }  // namespace
 
+bool ParseExecTier(std::string_view text, ExecTier* tier) {
+  if (text == "fast") {
+    *tier = ExecTier::kFast;
+    return true;
+  }
+  if (text == "ref" || text == "reference") {
+    *tier = ExecTier::kReference;
+    return true;
+  }
+  return false;
+}
+
 Vm::Vm(const Module& module, Workload workload, VmOptions options)
     : module_(module),
       workload_(std::move(workload)),
@@ -33,12 +45,6 @@ Vm::Vm(const Module& module, Workload workload, VmOptions options)
   } else {
     owned_decoded_ = std::make_unique<DecodedModule>(module_);
     decoded_ = owned_decoded_.get();
-  }
-  if (options_.fused != nullptr) {
-    // Fused bodies hold DecodedBlock pointers; they are only meaningful
-    // against the exact DecodedModule instance this VM interprets from.
-    GIST_CHECK(&options_.fused->decoded() == decoded_)
-        << "VmOptions::fused was compiled from a different DecodedModule";
   }
   if (options_.profile != nullptr) {
     // Size the shard once so StepBurst can index it unchecked.
@@ -93,17 +99,16 @@ void Vm::BuildDispatch() {
     }
   }
 
-  // Superinstruction tier (DESIGN.md §12). Whole-run deopt: immediate
-  // retired/mem subscribers need one virtual call per event in op order, and
-  // reference dispatch hooks every instruction — both incompatible with
-  // region-batched execution, so such runs stay on the fast path entirely.
-  if (options_.fused != nullptr && on_retired_immediate_.empty() && on_mem_immediate_.empty() &&
-      !hook_everywhere_) {
-    fused_entry_ = options_.fused->entries();
+  // Fused bodies (DESIGN.md §12). Whole-run deopt: immediate retired/mem
+  // subscribers need one virtual call per event in op order, and reference
+  // dispatch is the per-op oracle — both incompatible with region-batched
+  // execution, so such runs interpret every op.
+  if (!reference && on_retired_immediate_.empty() && on_mem_immediate_.empty()) {
+    fused_entry_ = decoded_->fused_entries();
     if (options_.hook != nullptr) {
       // Per-block deopt: a block containing any hook site interprets per-op
       // so BeforeInstr/AfterInstr (and their ordering flushes) fire exactly
-      // where the fast path fires them.
+      // where per-op interpretation fires them.
       for (const FusedBlock*& entry : fused_entry_) {
         if (entry == nullptr) {
           continue;
@@ -285,8 +290,8 @@ uint64_t Vm::StepBurst(ThreadState& thread, uint64_t max_count) {
   // no-op (all subscriber lists are empty and the batch buffers can never
   // fill), so the hot branch/jump/call/return paths skip them wholesale.
   const bool quiet = options_.observers.empty();
-  // Superinstruction tier (DESIGN.md §12): non-empty only when BuildDispatch
-  // decided this run's observer/hook configuration permits fused execution.
+  // Fused bodies (DESIGN.md §12): non-empty only when BuildDispatch decided
+  // this run's dispatch/observer configuration permits fused execution.
   const bool fused_active = !fused_entry_.empty();
 
   uint64_t executed = 0;
@@ -694,12 +699,12 @@ uint64_t Vm::StepBurst(ThreadState& thread, uint64_t max_count) {
   return executed;
 }
 
-// The superinstruction executor (DESIGN.md §12). Entered from StepBurst at
-// any instruction of a fused block; stays inside fused bodies while
-// terminators land on fused successors. The straight-line loop is the tier's
-// whole point: no per-op bounds check, budget check, hook probe, profile
-// pointer test, or retire branch — those costs are paid once per quantum
-// chunk or once per region instead. When the burst budget dies inside the
+// The fused executor (DESIGN.md §12). Entered from StepBurst at any
+// instruction of a fused block; stays inside fused bodies while terminators
+// land on fused successors. The straight-line loop is the executor's whole
+// point: no per-op bounds check, budget check, hook probe, profile pointer
+// test, or retire branch — those costs are paid once per quantum chunk or
+// once per region instead. When the burst budget dies inside the
 // region, RenewQuantum runs the scheduler boundary in place: the chain keeps
 // going whenever the same thread is rescheduled (the hot single-threaded
 // case) and deopts on an actual handoff, so fused chains span quanta without
@@ -712,15 +717,15 @@ uint64_t Vm::StepBurst(ThreadState& thread, uint64_t max_count) {
 //     is invisible outside the run;
 //   * scheduler state is identical: a renewal consumes the same PickNext()
 //     and quantum-re-roll rng draws at the same retired-instruction boundary
-//     the fast path would, and dispatches the same OnContextSwitch when the
+//     StepBurst would, and dispatches the same OnContextSwitch when the
 //     pick changes threads;
 //   * kObserved replicates the exact batch pushes and boundary dispatches:
 //     straight-line ops append to the mem/retired batch buffers, a kBr
 //     flushes via Dispatch(on_branch_) before the branch event and via
 //     Dispatch(on_block_enter_) after pushing the branch's own retired id —
-//     the same flush boundaries, sizes, and event order as the fast path;
+//     the same flush boundaries, sizes, and event order as StepBurst;
 //   * faults sync the frame to the faulting op (index = op + 1, exactly
-//     where the fast path leaves it) and raise the identical FailureReport;
+//     where StepBurst leaves it) and raise the identical FailureReport;
 //     the faulting op is charged to the step budget but never retired to a
 //     batch, and a faulting access bumps no access counters.
 template <bool kObserved, bool kProfiled>
@@ -1100,7 +1105,7 @@ uint64_t Vm::RenewQuantum(ThreadState& thread, uint64_t steps_now) {
     core_occupant_[core] = next;
     const Frame& next_frame = threads_[next].stack.back();
     // Dispatch flushes the batch buffers first, closing the outgoing chain's
-    // slice — exactly the fast path's switch boundary.
+    // slice — exactly StepBurst's switch boundary.
     Dispatch(on_context_switch_, [&](ExecutionObserver& o) {
       o.OnContextSwitch(core, prev, next, next_frame.function->id, next_frame.block->id,
                         next_frame.index);

@@ -17,7 +17,9 @@
 // start, with the per-instruction-rate events (retired, mem access) batched
 // into buffers flushed at block boundaries / context switches / hook sites.
 // Pass VmOptions::decoded to share one cache across runs (the fleet does);
-// otherwise the VM decodes privately at construction.
+// otherwise the VM decodes privately at construction. Blocks the
+// DecodedModule fused at decode time run as straight-line fused bodies
+// (DESIGN.md §12) whenever the run's observer set permits batching.
 
 #ifndef GIST_SRC_VM_VM_H_
 #define GIST_SRC_VM_VM_H_
@@ -25,6 +27,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include "src/ir/module.h"
@@ -34,10 +37,21 @@
 #include "src/vm/failure.h"
 #include "src/vm/memory.h"
 #include "src/vm/observer.h"
-#include "src/vm/superinstr.h"
 #include "src/vm/workload.h"
 
 namespace gist {
+
+// Which dispatch executes monitored runs. Both are byte-identical in
+// FleetResult, PT streams, watch events, and every export outside the
+// "engine." metrics namespace (tests/vm_fastpath_test.cc,
+// tests/fleet_tier_test.cc).
+enum class ExecTier : uint8_t {
+  kFast = 0,       // pre-decoded StepBurst with fused bodies (DESIGN.md §7, §12)
+  kReference = 1,  // unbatched dispatch, hook everywhere — the semantics oracle
+};
+
+// Accepts "fast" and "ref"/"reference". Returns false on anything else.
+bool ParseExecTier(std::string_view text, ExecTier* tier);
 
 struct VmOptions {
   uint32_t num_cores = 4;
@@ -58,16 +72,10 @@ struct VmOptions {
   // Shared pre-decoded cache for `module` (must be decoded from the same
   // Module instance and outlive the VM). Null: the VM decodes privately.
   const DecodedModule* decoded = nullptr;
-  // Superinstruction tier (DESIGN.md §12): profile-selected fused block
-  // bodies compiled from the same DecodedModule as `decoded` (must outlive
-  // the VM). Engaged only when the observer set permits batching everywhere
-  // (no immediate retired/mem subscribers, no reference dispatch); blocks
-  // containing hook sites deopt per-block. Null: fast path only.
-  const FusedModule* fused = nullptr;
   // Reference dispatch: ignore batching opt-ins and deliver every event as
-  // one virtual call per event, and call the hook at every instruction —
-  // the semantics the fast path must match byte-for-byte. Used by
-  // tests/vm_fastpath_test.cc; keep off otherwise.
+  // one virtual call per event, call the hook at every instruction, and never
+  // run fused bodies — the semantics the fast path must match byte-for-byte.
+  // Used by tests/vm_fastpath_test.cc; keep off otherwise.
   bool reference_dispatch = false;
   // Caller-owned profile shard (src/obs/profiler.h): when set, the
   // interpreter bumps per-block exec/retired/taken/not_taken counters in it,
@@ -111,10 +119,9 @@ struct RunStats {
   static constexpr uint32_t kFlushSizeBuckets = 17;
   uint32_t flush_size_log2[kFlushSizeBuckets] = {};
 
-  // --- superinstruction-tier telemetry (DESIGN.md §12) ----------------------
-  // Tier-dependent by definition (zero on the fast path), so these never
-  // enter the deterministic metrics export — the fleet surfaces them through
-  // the flight recorder's annotation side channel only, like cache stats.
+  // Fused-body activity (DESIGN.md §12): zero under reference dispatch and
+  // immediate subscribers, so it is dispatch-engine telemetry too and lands
+  // under "engine." as well.
   uint64_t fused_chains = 0;   // fusion-region entries (each exits via deopt)
   uint64_t fused_blocks = 0;   // fused block bodies executed
   uint64_t fused_retired = 0;  // instructions retired inside fused bodies
@@ -174,7 +181,7 @@ class Vm {
   // number of instructions executed; the caller charges them to the step
   // budget and the remaining quantum.
   uint64_t StepBurst(ThreadState& thread, uint64_t max_count);
-  // Superinstruction executor (DESIGN.md §12): runs fused block bodies
+  // Fused executor (DESIGN.md §12): runs fused block bodies
   // starting at instruction `index` of `fb`, staying inside fusion regions
   // while successors are fused. When the burst budget dies inside the region
   // it consumes the scheduler boundary itself (RenewQuantum) and keeps going
@@ -269,9 +276,9 @@ class Vm {
   std::vector<uint8_t> hook_sites_;
   bool hook_everywhere_ = false;  // reference mode or hook without site info
 
-  // Superinstruction entry table by profile_index (empty: tier disabled for
-  // this run). Built in BuildDispatch from options_.fused minus the per-run
-  // deopt exclusions (hook-site blocks).
+  // Fused entry table by profile_index (empty: fusion disabled for this
+  // run). Built in BuildDispatch from the DecodedModule's entries minus the
+  // per-run deopt exclusions (hook-site blocks).
   std::vector<const FusedBlock*> fused_entry_;
 
   // Quantum-renewal channel between the fused executor and Run()'s scheduler

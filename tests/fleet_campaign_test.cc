@@ -125,7 +125,7 @@ TEST(FleetCampaignTest, JournalBitIdenticalAcrossJobsTiersAndCache) {
     EXPECT_NE(sequential.journal.find("\"schema\": \"gist.campaign.v1\""), std::string::npos);
 
     for (const uint32_t jobs : {2u, 8u}) {
-      for (const ExecTier tier : {ExecTier::kFast, ExecTier::kReference, ExecTier::kSuper}) {
+      for (const ExecTier tier : {ExecTier::kFast, ExecTier::kReference}) {
         FleetOptions variant = base;
         variant.jobs = jobs;
         variant.gist.tier = tier;

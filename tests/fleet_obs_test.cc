@@ -5,10 +5,13 @@
 //      on the coordinator, in run-index order;
 //   2. a run publishes the same metrics under the fast-path interpreter and
 //      the reference dispatch for every Table 1 app, once the
-//      dispatch-engine-internal "engine." namespace is filtered out.
+//      dispatch-engine-internal "engine." namespace is filtered out;
+//   3. default monitored runs execute fused bodies (DESIGN.md §12) and say so
+//      in engine.fused_retired.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -228,6 +231,67 @@ TEST(FleetObsTest, FastPathAndReferencePublishIdenticalMetricsOnAllApps) {
     EXPECT_GT(fast_metrics.counter("vm.instructions_retired"), 0u);
     EXPECT_EQ(fast_metrics.counter("vm.instructions_retired"),
               ref_metrics.counter("vm.instructions_retired"));
+  }
+}
+
+TEST(FleetObsTest, DefaultMonitoredRunsReportFusedRetired) {
+  // Fusion is part of the default fast path, monitored runs included: blocks
+  // without hook sites run as fused bodies, and the publisher reports the
+  // instructions they retired. An app whose runs execute a fusable block
+  // with no hook site must therefore show engine.fused_retired > 0.
+  for (const std::unique_ptr<BugApp>& app : MakeAllApps()) {
+    SCOPED_TRACE(app->info().name);
+    const Module& module = app->module();
+    GistServer server(module);
+    FailureReport first_failure;
+    for (uint64_t run = 0; run < 400 && first_failure.failing_instr == kNoInstr; ++run) {
+      Rng rng(0x9e3779b97f4a7c15ull ^ (run * 0x45d9f3b5ull));
+      const RunResult result = Vm(module, app->MakeWorkload(run, rng), VmOptions{}).Run();
+      if (!result.ok()) {
+        first_failure = result.failure;
+      }
+    }
+    ASSERT_NE(first_failure.failing_instr, kNoInstr) << "no failing workload among probes";
+    server.ReportFailure(first_failure);
+    const PlanSnapshot snapshot = server.Snapshot();
+
+    GistOptions options;
+    options.collect_profile = true;
+    MetricsRegistry metrics;
+    BlockProfile executed;
+    for (uint64_t run = 0; run < 4; ++run) {
+      Rng rng(DeriveSeed(2015, run));
+      const MonitoredRun monitored =
+          RunMonitored(module, snapshot, run, app->MakeWorkload(run, rng), options, run + 1);
+      PublishRunMetrics(monitored, &metrics);
+      executed.Merge(monitored.profile);
+    }
+
+    // Fusable blocks the runs entered with no hook site under any of their
+    // client plans: a hook site deopts its block to per-op interpretation.
+    auto hooked = [&](InstrId id) {
+      for (uint64_t run = 0; run < 4; ++run) {
+        const InstrumentationPlan& plan = snapshot.ForClient(run);
+        if (plan.arm_before.count(id) != 0 || plan.arm_after.count(id) != 0) {
+          return true;
+        }
+      }
+      return false;
+    };
+    uint64_t eligible = 0;
+    for (const FusedBlock* block : server.decoded()->fused_entries()) {
+      // `ops` ends in the sentinel terminator, so it covers every instruction.
+      if (block != nullptr && block->profile_index < executed.exec.size() &&
+          executed.exec[block->profile_index] != 0 &&
+          std::none_of(block->ops.begin(), block->ops.end(),
+                       [&](const FusedOp& op) { return hooked(op.src->id); })) {
+        ++eligible;
+      }
+    }
+    ASSERT_GT(eligible, 0u) << "runs executed no fusable block";
+    EXPECT_GT(metrics.counter("engine.fused_retired"), 0u);
+    EXPECT_GT(metrics.counter("engine.fused_blocks"), 0u);
+    EXPECT_GT(metrics.counter("engine.fused_chains"), 0u);
   }
 }
 

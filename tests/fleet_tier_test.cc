@@ -1,13 +1,11 @@
-// Tier-mixing determinism contract of the superinstruction tier (DESIGN.md
-// §12): the execution tier is a pure throughput knob. A fleet whose workers
-// mix reference dispatch, the pre-decoded fast path, and the fused super
-// tier — per run, via FleetOptions::tier_for_run — must produce the same
+// Dispatch-tier determinism contract (DESIGN.md §12): the fast path, fused
+// bodies included, and the reference dispatch are interchangeable. An
+// all-fast fleet and an all-reference fleet must produce the same
 // FleetResult and byte-identical metrics (modulo the dispatcher's own
-// "engine." batching bookkeeping) / trace / profile exports as an all-fast
-// fleet, at every worker count, faults on and off. The TSan stage
-// runs this suite too: the shared FusedModule is immutable after Build and
-// concurrently read by every worker, which is exactly the aliasing a race
-// would hide in.
+// "engine." bookkeeping) / trace / profile exports, at every worker count,
+// faults on and off. The TSan stage runs this suite too: every worker reads
+// the shared DecodedModule's fused bodies concurrently, which is exactly the
+// aliasing a race would hide in.
 
 #include <gtest/gtest.h>
 
@@ -19,7 +17,6 @@
 #include "src/coop/fleet.h"
 #include "src/obs/flight_recorder.h"
 #include "src/obs/profiler.h"
-#include "src/vm/superinstr.h"
 
 namespace gist {
 namespace {
@@ -47,9 +44,15 @@ struct TieredFleet {
   std::string profile_json;
 };
 
-TieredFleet RunTieredFleet(const BugApp& app, uint64_t fleet_seed, uint32_t jobs,
-                           std::function<ExecTier(uint64_t)> tier_for_run, bool faulted,
-                           std::string_view metrics_exclude = {}) {
+// Cross-tier comparisons filter the "engine." namespace, exactly like the
+// fast-vs-reference check in fleet_obs_test: those counters are the
+// dispatcher's own bookkeeping (flush counts, batch sizes, fused-body
+// activity) and legitimately differ between dispatch modes. Every
+// pipeline-visible namespace — vm.*, profile.*, pt.*, hw.*, fleet.*,
+// server.* — must match byte for byte, as must the span trace and the
+// profile export.
+TieredFleet RunTieredFleet(const BugApp& app, uint64_t fleet_seed, uint32_t jobs, ExecTier tier,
+                           bool faulted) {
   FlightRecorder recorder;
   HotPathProfiler profiler;
   FleetOptions options;
@@ -59,7 +62,7 @@ TieredFleet RunTieredFleet(const BugApp& app, uint64_t fleet_seed, uint32_t jobs
   options.jobs = jobs;
   options.recorder = &recorder;
   options.profiler = &profiler;
-  options.tier_for_run = std::move(tier_for_run);
+  options.gist.tier = tier;
   if (faulted) {
     options.faults = ModerateFaults();
   }
@@ -77,25 +80,10 @@ TieredFleet RunTieredFleet(const BugApp& app, uint64_t fleet_seed, uint32_t jobs
     }
     return true;
   });
-  tiered.metrics_json = recorder.MetricsJson(metrics_exclude);
+  tiered.metrics_json = recorder.MetricsJson("engine.");
   tiered.trace_json = recorder.TraceJson();
   tiered.profile_json = profiler.ProfileJson();
   return tiered;
-}
-
-// Deterministic per-run tier mix: workers pulling adjacent run indices off
-// the queue land on different interpreters, so one fleet exercises every
-// tier pairing across threads. A pure function of the run index, never of
-// worker identity — the contract tier_for_run documents.
-ExecTier MixedTier(uint64_t run_index) {
-  switch (run_index % 3) {
-    case 0:
-      return ExecTier::kSuper;
-    case 1:
-      return ExecTier::kFast;
-    default:
-      return ExecTier::kReference;
-  }
 }
 
 void ExpectIdentical(const TieredFleet& a, const TieredFleet& b) {
@@ -125,41 +113,24 @@ void ExpectIdentical(const TieredFleet& a, const TieredFleet& b) {
 }
 
 // apache-2 exercises mid-iteration refinement replans; transmission the
-// watchpoint rotation — both under every tier mix.
+// watchpoint rotation.
 class FleetTierTest : public ::testing::TestWithParam<const char*> {};
 
-TEST_P(FleetTierTest, MixedTierFleetMatchesAllFastByteForByte) {
+TEST_P(FleetTierTest, FastFleetMatchesReferenceFleetByteForByte) {
   std::unique_ptr<BugApp> app = MakeAppByName(GetParam());
   ASSERT_NE(app, nullptr);
-  // Cross-tier comparisons filter the "engine." namespace, exactly like the
-  // fast-vs-reference check in fleet_obs_test: those counters are the
-  // dispatcher's own batching bookkeeping (flush counts, batch sizes) and
-  // legitimately differ between dispatch modes. Every pipeline-visible
-  // namespace — vm.*, profile.*, pt.*, hw.*, fleet.*, server.* — must match
-  // byte for byte, as must the span trace and the profile export.
   for (const bool faulted : {false, true}) {
     SCOPED_TRACE(faulted ? "faulted" : "healthy");
-    const TieredFleet all_fast =
-        RunTieredFleet(*app, 2015, /*jobs=*/4, /*tier_for_run=*/nullptr, faulted, "engine.");
-    ASSERT_TRUE(all_fast.result.first_failure_found);
-    const TieredFleet mixed =
-        RunTieredFleet(*app, 2015, /*jobs=*/4, MixedTier, faulted, "engine.");
-    ExpectIdentical(all_fast, mixed);
-    const TieredFleet all_super = RunTieredFleet(
-        *app, 2015, /*jobs=*/4, [](uint64_t) { return ExecTier::kSuper; }, faulted, "engine.");
-    ExpectIdentical(all_fast, all_super);
-  }
-}
-
-TEST_P(FleetTierTest, MixedTierFleetIsWorkerCountInvariant) {
-  std::unique_ptr<BugApp> app = MakeAppByName(GetParam());
-  ASSERT_NE(app, nullptr);
-  const TieredFleet sequential =
-      RunTieredFleet(*app, 11, /*jobs=*/1, MixedTier, /*faulted=*/true);
-  for (const uint32_t jobs : {2u, 8u}) {
-    SCOPED_TRACE("jobs=" + std::to_string(jobs));
-    const TieredFleet parallel = RunTieredFleet(*app, 11, jobs, MixedTier, /*faulted=*/true);
-    ExpectIdentical(sequential, parallel);
+    const TieredFleet sequential = RunTieredFleet(*app, 2015, 1, ExecTier::kFast, faulted);
+    ASSERT_TRUE(sequential.result.first_failure_found);
+    for (const uint32_t jobs : {1u, 4u, 8u}) {
+      SCOPED_TRACE("jobs=" + std::to_string(jobs));
+      if (jobs != 1) {
+        ExpectIdentical(sequential, RunTieredFleet(*app, 2015, jobs, ExecTier::kFast, faulted));
+      }
+      ExpectIdentical(sequential,
+                      RunTieredFleet(*app, 2015, jobs, ExecTier::kReference, faulted));
+    }
   }
 }
 

@@ -1,23 +1,19 @@
-// Tier equivalence: the pre-decoded interpreter with subscription-masked,
-// batched observer dispatch (DESIGN.md §7) and the profile-guided
-// superinstruction tier above it (DESIGN.md §12) must both be observationally
-// identical to the reference dispatch (one virtual call per event, hook
-// called at every instruction). For every Table 1 app this runs the same
-// workloads under the full tier matrix — reference, fast, super with
-// profile-selected fusion, and super with fusion forced onto every fusable
-// block (selection threshold 0, the deopt-stress configuration) — and asserts
-// byte-identical PT packet streams, identical watchpoint event sequences, and
-// identical FailureReports — the determinism contract of DESIGN.md §6
-// restated as a test. Fast vs super additionally asserts identical dispatch-
-// engine telemetry: fusion must replicate the fast path's flush boundaries
-// exactly, not merely its event payloads.
+// Dispatch equivalence: the pre-decoded interpreter with subscription-masked,
+// batched observer dispatch (DESIGN.md §7), fused bodies for every fusable
+// block included (DESIGN.md §12), must be observationally identical to the
+// reference dispatch (one virtual call per event, hook called at every
+// instruction, no fusion). For every Table 1 app this runs the same
+// workloads under both and asserts byte-identical PT packet streams,
+// identical watchpoint event sequences, and identical FailureReports — the
+// determinism contract of DESIGN.md §6 restated as a test. Every fusable
+// block is fused, cold ones too, so every deopt edge (hook-site blocks,
+// burst-budget exhaustion, unfusable successors) is exercised.
 
 #include <gtest/gtest.h>
 
 #include "src/apps/app.h"
 #include "src/core/gist.h"
 #include "src/replay/recorder.h"
-#include "src/vm/superinstr.h"
 
 namespace gist {
 namespace {
@@ -41,23 +37,6 @@ void ExpectSameResult(const RunResult& got, const RunResult& want, const std::st
   EXPECT_EQ(got.stats.branches, want.stats.branches) << label;
   EXPECT_EQ(got.stats.context_switches, want.stats.context_switches) << label;
   EXPECT_EQ(got.stats.threads_created, want.stats.threads_created) << label;
-}
-
-// Fast vs super only: the fused tier must reproduce the fast path's dispatch
-// engine behavior to the flush boundary, or the "engine." metrics namespace
-// would betray the tier. Reference dispatch legitimately differs here.
-void ExpectSameEngineStats(const RunStats& got, const RunStats& want, const std::string& label) {
-  EXPECT_EQ(got.bursts, want.bursts) << label;
-  EXPECT_EQ(got.batch_deliveries, want.batch_deliveries) << label;
-  EXPECT_EQ(got.flushed_retired_events, want.flushed_retired_events) << label;
-  EXPECT_EQ(got.flushed_mem_events, want.flushed_mem_events) << label;
-  EXPECT_EQ(got.dispatched_events, want.dispatched_events) << label;
-  EXPECT_EQ(got.block_enters, want.block_enters) << label;
-  EXPECT_EQ(got.returns, want.returns) << label;
-  EXPECT_EQ(got.thread_events, want.thread_events) << label;
-  for (uint32_t b = 0; b < RunStats::kFlushSizeBuckets; ++b) {
-    EXPECT_EQ(got.flush_size_log2[b], want.flush_size_log2[b]) << label << " bucket " << b;
-  }
 }
 
 void ExpectSameWatchEvents(const std::vector<WatchEvent>& got, const std::vector<WatchEvent>& want,
@@ -88,28 +67,17 @@ void ExpectSameTrace(const RunTrace& got, const RunTrace& want, const std::strin
   EXPECT_EQ(got.baseline_instructions, want.baseline_instructions) << label;
 }
 
-// One monitored run of `snapshot` under the given tier; `fused` is consulted
-// only by the super tier.
+// One monitored run of `snapshot` under the given tier.
 MonitoredRun RunSnapshot(const Module& module, const PlanSnapshot& snapshot,
-                         const Workload& workload, const GistOptions& options, ExecTier tier,
-                         const FusedModule* fused) {
+                         const Workload& workload, const GistOptions& options, ExecTier tier) {
   ClientRuntime runtime(module, snapshot, /*client_index=*/0, options.num_cores,
                         options.pt_buffer_bytes);
   VmOptions vm_options;
   vm_options.num_cores = options.num_cores;
   vm_options.observers = {&runtime};
   vm_options.hook = &runtime;
-  switch (tier) {
-    case ExecTier::kReference:
-      vm_options.reference_dispatch = true;
-      break;
-    case ExecTier::kSuper:
-      vm_options.fused = fused;
-      [[fallthrough]];
-    case ExecTier::kFast:
-      vm_options.decoded = snapshot.decoded().get();
-      break;
-  }
+  vm_options.decoded = snapshot.decoded().get();
+  vm_options.reference_dispatch = tier == ExecTier::kReference;
   Vm vm(module, workload, vm_options);
   MonitoredRun run{vm.Run(), RunTrace{}};
   run.trace = runtime.TakeTrace(/*run_id=*/0, run.result);
@@ -118,36 +86,44 @@ MonitoredRun RunSnapshot(const Module& module, const PlanSnapshot& snapshot,
 
 class VmFastPathTest : public ::testing::TestWithParam<const char*> {};
 
-TEST_P(VmFastPathTest, TierMatrixMatchesReferenceDispatch) {
+TEST_P(VmFastPathTest, FastPathMatchesReferenceDispatch) {
   std::unique_ptr<BugApp> app = MakeAppByName(GetParam());
   ASSERT_NE(app, nullptr);
   const Module& module = app->module();
   GistOptions options;
   GistServer server(module, options);
+  uint64_t fusable_blocks = 0;
+  for (const FusedBlock* entry : server.decoded()->fused_entries()) {
+    fusable_blocks += entry != nullptr ? 1 : 0;
+  }
+  ASSERT_GT(fusable_blocks, 0u) << GetParam() << ": no fusable block in the whole app";
 
   // Unmonitored probes: fast path vs reference over a spread of workloads,
-  // recording the first failing one for the monitored comparison below and
-  // aggregating the BlockProfile the superinstruction selection feeds on.
+  // recording the first failing one for the monitored comparison below.
+  // Quiet fast runs take the pure straight-line fused path.
   bool have_failure = false;
   FailureReport first_failure;
   Workload failing_workload;
-  BlockProfile profile;
   uint64_t compared = 0;
+  uint64_t fused_chains = 0;
   for (uint64_t run = 0; run < 400 && (compared < 3 || !have_failure); ++run) {
     const Workload workload = WorkloadFor(*app, run);
 
     VmOptions fast_options;
     fast_options.decoded = server.decoded().get();
-    fast_options.profile = &profile;
     Vm fast_vm(module, workload, fast_options);
     const RunResult fast = fast_vm.Run();
+    fused_chains += fast.stats.fused_chains;
 
     const bool interesting = compared < 3 || (!fast.ok() && !have_failure);
     if (interesting) {
       VmOptions ref_options;
+      ref_options.decoded = server.decoded().get();
       ref_options.reference_dispatch = true;
       Vm ref_vm(module, workload, ref_options);
-      ExpectSameResult(fast, ref_vm.Run(),
+      const RunResult ref = ref_vm.Run();
+      EXPECT_EQ(ref.stats.fused_chains, 0u) << GetParam() << ": reference dispatch fused";
+      ExpectSameResult(fast, ref,
                        std::string(GetParam()) + " unmonitored run " + std::to_string(run));
       ++compared;
     }
@@ -158,46 +134,10 @@ TEST_P(VmFastPathTest, TierMatrixMatchesReferenceDispatch) {
     }
   }
   ASSERT_TRUE(have_failure) << GetParam() << ": no failing workload among probes";
+  EXPECT_GT(fused_chains, 0u) << GetParam() << ": fused bodies never engaged on a quiet run";
 
-  // Two fused builds: profile-selected hot chains (the production
-  // configuration) and fusion forced onto every fusable block regardless of
-  // hotness — cold blocks fuse too, so every deopt edge (hook-site blocks,
-  // burst-budget exhaustion, unfusable successors) is exercised.
-  std::shared_ptr<const FusedModule> fused_hot = FusedModule::Build(server.decoded(), profile);
-  SuperInstrOptions fuse_all;
-  fuse_all.min_block_retired = 0;
-  std::shared_ptr<const FusedModule> fused_cold =
-      FusedModule::Build(server.decoded(), profile, fuse_all);
-  EXPECT_EQ(fused_hot->stats().total_blocks, fused_cold->stats().total_blocks);
-  ASSERT_GT(fused_cold->stats().fusable_blocks, 0u)
-      << GetParam() << ": no fusable block in the whole app";
-  EXPECT_EQ(fused_cold->stats().fused_blocks, fused_cold->stats().fusable_blocks);
-
-  // Quiet (unmonitored) matrix over the failing workload: the super tier with
-  // no observers takes the pure straight-line path.
-  uint64_t super_chains = 0;
-  {
-    VmOptions fast_options;
-    fast_options.decoded = server.decoded().get();
-    Vm fast_vm(module, failing_workload, fast_options);
-    const RunResult fast = fast_vm.Run();
-    for (const FusedModule* fused : {fused_hot.get(), fused_cold.get()}) {
-      VmOptions super_options;
-      super_options.decoded = server.decoded().get();
-      super_options.fused = fused;
-      Vm super_vm(module, failing_workload, super_options);
-      const RunResult super = super_vm.Run();
-      ExpectSameResult(super, fast, std::string(GetParam()) + " quiet super");
-      ExpectSameEngineStats(super.stats, fast.stats, std::string(GetParam()) + " quiet super");
-      super_chains += super.stats.fused_chains;
-    }
-  }
-  EXPECT_GT(super_chains, 0u) << GetParam() << ": super tier never engaged on a quiet run";
-
-  // Monitored matrix: PT + watchpoints + arming hooks, the full client
-  // runtime, over the failing workload and a handful of others, under all
-  // tiers. Fast is the pivot; reference proves the dispatch semantics, the
-  // two super builds prove fusion and deopt are invisible.
+  // Monitored comparison: PT + watchpoints + arming hooks, the full client
+  // runtime, over the failing workload and a handful of others.
   server.ReportFailure(first_failure);
   const PlanSnapshot snapshot = server.Snapshot();
   ASSERT_NE(snapshot.decoded(), nullptr);
@@ -209,37 +149,25 @@ TEST_P(VmFastPathTest, TierMatrixMatchesReferenceDispatch) {
   for (size_t i = 0; i < monitored.size(); ++i) {
     const std::string label =
         std::string(GetParam()) + " monitored workload " + std::to_string(i);
-    const MonitoredRun fast =
-        RunSnapshot(module, snapshot, monitored[i], options, ExecTier::kFast, nullptr);
+    const MonitoredRun fast = RunSnapshot(module, snapshot, monitored[i], options, ExecTier::kFast);
     const MonitoredRun ref =
-        RunSnapshot(module, snapshot, monitored[i], options, ExecTier::kReference, nullptr);
-    ExpectSameResult(ref.result, fast.result, label + " [ref]");
-    ExpectSameTrace(ref.trace, fast.trace, label + " [ref]");
-    for (const auto& [name, fused] :
-         {std::pair<const char*, const FusedModule*>{"super-hot", fused_hot.get()},
-          {"super-cold", fused_cold.get()}}) {
-      const MonitoredRun super =
-          RunSnapshot(module, snapshot, monitored[i], options, ExecTier::kSuper, fused);
-      const std::string super_label = label + " [" + name + "]";
-      ExpectSameResult(super.result, fast.result, super_label);
-      ExpectSameTrace(super.trace, fast.trace, super_label);
-      ExpectSameEngineStats(super.result.stats, fast.result.stats, super_label);
-    }
+        RunSnapshot(module, snapshot, monitored[i], options, ExecTier::kReference);
+    ExpectSameResult(ref.result, fast.result, label);
+    ExpectSameTrace(ref.trace, fast.trace, label);
   }
 
   // Recorder comparison: the unbatched full-event observer must log the same
   // interleaved stream either way (it never opts into batching; its immediate
-  // retired subscription also keeps the fused tier disengaged — asserted).
+  // retired subscription also keeps fused bodies disengaged — asserted).
   {
     Recorder fast_recorder;
     VmOptions fast_options;
     fast_options.decoded = server.decoded().get();
-    fast_options.fused = fused_cold.get();
     fast_options.observers = {&fast_recorder};
     Vm fast_vm(module, failing_workload, fast_options);
     const RunResult fast = fast_vm.Run();
     EXPECT_EQ(fast.stats.fused_chains, 0u)
-        << GetParam() << ": fused tier must deopt for immediate retired subscribers";
+        << GetParam() << ": fused bodies must deopt for immediate retired subscribers";
 
     Recorder ref_recorder;
     VmOptions ref_options;

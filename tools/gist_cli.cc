@@ -92,7 +92,7 @@ struct CliOptions {
   std::vector<Word> inputs;
   TelemetryExportOptions exports;  // shared --*-json export surface (app_util.h)
   std::string log_level;     // debug|info|warning|error
-  std::string tier;          // fast|ref|super execution tier (DESIGN.md §12)
+  std::string tier;          // fast|ref dispatch tier (DESIGN.md §12)
   std::string cache_dir;          // on-disk artifact-store tier (DESIGN.md §11)
   uint64_t cache_mem_mb = 256;    // in-memory artifact budget
   std::string cache_stats_json;   // write the store's gist.cachestats.v1 export
@@ -114,16 +114,15 @@ int Usage() {
                "       gist cache [stats.json] [--cache-dir DIR] [--cache-purge]\n"
                "       gist corpus gen --out DIR [--seed N] [--count N] [--families a,b,c]\n"
                "       gist corpus run [--dir DIR | --seed N --count N] [--jobs N]\n"
-               "           [--tier fast|ref|super] [--chaos] [--fleet-seed N]\n"
+               "           [--tier fast|ref] [--chaos] [--fleet-seed N]\n"
                "           [--score-json PATH]\n"
                "       gist corpus score <run flags> --baseline BENCH_corpus.json\n"
                "           [--write-baseline PATH]\n"
                "common flags:\n"
                "  --log-level debug|info|warning|error   stderr verbosity (default info)\n"
-               "  --tier fast|ref|super   monitored-run execution tier (default fast;\n"
-               "                          super fuses profile-hot blocks, ref is the\n"
-               "                          always-dispatch oracle — results are\n"
-               "                          byte-identical across tiers)\n"
+               "  --tier fast|ref         monitored-run dispatch (default fast, which runs\n"
+               "                          fused block bodies; ref is the always-dispatch\n"
+               "                          oracle — results are byte-identical)\n"
                "  --metrics-json <path>   write the deterministic metrics snapshot\n"
                "                          (diagnose/diagnose-app/fix-app/corpus run|score)\n"
                "  --trace-json <path>     write the virtual-time span trace in Chrome\n"
@@ -152,7 +151,7 @@ bool ApplyTier(const CliOptions& options, FleetOptions* fleet_options) {
     return true;
   }
   if (!ParseExecTier(options.tier, &fleet_options->gist.tier)) {
-    std::fprintf(stderr, "unknown tier '%s' (expected fast, ref, or super)\n",
+    std::fprintf(stderr, "unknown tier '%s' (expected fast or ref)\n",
                  options.tier.c_str());
     return false;
   }
@@ -1064,7 +1063,7 @@ int CmdCorpusRun(const CorpusCliArgs& args, bool gate) {
   CorpusScoreOptions score_options;
   score_options.jobs = static_cast<uint32_t>(args.jobs);
   if (!args.tier.empty() && !ParseExecTier(args.tier, &score_options.tier)) {
-    std::fprintf(stderr, "unknown tier '%s' (expected fast, ref, or super)\n",
+    std::fprintf(stderr, "unknown tier '%s' (expected fast or ref)\n",
                  args.tier.c_str());
     return 2;
   }
