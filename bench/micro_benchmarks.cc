@@ -325,6 +325,12 @@ struct InvariantCounters {
   // like the counters above; a drop to zero means fusion silently
   // disengaged, which no throughput floor catches reliably.
   uint64_t fused_retired = 0;
+  // Events the VM delivered to the client runtimes' batch handlers (DESIGN.md
+  // §7): retired events only at PT-stop sites, accesses only at watch sites
+  // and armed addresses. A slide back to per-instruction delivery multiplies
+  // these by orders of magnitude, which no timing gate catches reliably.
+  uint64_t client_retired_deliveries = 0;
+  uint64_t client_mem_deliveries = 0;
 };
 
 InvariantCounters MeasureInvariantCounters() {
@@ -342,6 +348,9 @@ InvariantCounters MeasureInvariantCounters() {
   counters.watch_traps = recorder.metrics().counter("hw.watch.traps");
   counters.campaign_journal_bytes = campaign.JournalJson().size();
   counters.fused_retired = recorder.metrics().counter("engine.fused_retired");
+  counters.client_retired_deliveries =
+      recorder.metrics().counter("engine.flushed_retired_events");
+  counters.client_mem_deliveries = recorder.metrics().counter("engine.flushed_mem_events");
   return counters;
 }
 
@@ -443,6 +452,10 @@ std::vector<Gate> PerfSmokeGates() {
       {"campaign_journal_bytes", counter(&InvariantCounters::campaign_journal_bytes),
        GateKind::kExact},
       {"vm_fused_retired", counter(&InvariantCounters::fused_retired), GateKind::kExact},
+      {"client_retired_deliveries", counter(&InvariantCounters::client_retired_deliveries),
+       GateKind::kExact},
+      {"client_mem_deliveries", counter(&InvariantCounters::client_mem_deliveries),
+       GateKind::kExact},
   };
 }
 

@@ -5,10 +5,11 @@
 namespace gist {
 
 ClientRuntime::ClientRuntime(const Module& module, const InstrumentationPlan& plan,
-                             uint32_t num_cores, size_t pt_buffer_bytes,
+                             const SiteTable& sites, uint32_t num_cores, size_t pt_buffer_bytes,
                              uint32_t watchpoint_slots)
     : module_(module),
       plan_(plan),
+      sites_(sites),
       tracer_(num_cores, pt_buffer_bytes, /*always_on=*/false),
       watchpoints_(watchpoint_slots) {
   // Statically-known addresses (globals) are armed before the run starts.
@@ -20,7 +21,8 @@ ClientRuntime::ClientRuntime(const Module& module, const InstrumentationPlan& pl
 ClientRuntime::ClientRuntime(const Module& module, const PlanSnapshot& snapshot,
                              uint64_t client_index, uint32_t num_cores, size_t pt_buffer_bytes,
                              uint32_t watchpoint_slots)
-    : ClientRuntime(module, snapshot.ForClient(client_index), num_cores, pt_buffer_bytes,
+    : ClientRuntime(module, snapshot.ForClient(client_index),
+                    snapshot.SitesForClient(client_index), num_cores, pt_buffer_bytes,
                     watchpoint_slots == kSnapshotSlots ? snapshot.watchpoint_slots()
                                                        : watchpoint_slots) {}
 
@@ -31,10 +33,11 @@ void ClientRuntime::OnContextSwitch(CoreId core, ThreadId prev, ThreadId next,
 }
 
 void ClientRuntime::OnBlockEnter(ThreadId tid, CoreId core, FunctionId function, BlockId block) {
-  if (plan_.ShouldStartAt(function, block)) {
+  // The tracer is never always-on here, so its own OnBlockEnter is a no-op
+  // and only start blocks matter (which lets the VM deliver only those).
+  if ((sites_.BlockFlags(function, block) & kSitePtStart) != 0) {
     tracer_.Enable(core, tid, function, block);
   }
-  tracer_.OnBlockEnter(tid, core, function, block);
 }
 
 void ClientRuntime::OnBranch(ThreadId tid, CoreId core, InstrId instr, bool taken) {
@@ -42,7 +45,7 @@ void ClientRuntime::OnBranch(ThreadId tid, CoreId core, InstrId instr, bool take
 }
 
 void ClientRuntime::OnMemAccess(const MemAccessEvent& event) {
-  if (plan_.ShouldWatch(event.instr) && !watchpoints_.IsWatched(event.addr)) {
+  if ((sites_.instrs[event.instr] & kSiteWatch) != 0 && !watchpoints_.IsWatched(event.addr)) {
     // Arm on first execution of a tracked access: the runtime now knows the
     // concrete address the statically-planned watchpoint should cover.
     if (!watchpoints_.Arm(event.addr)) {
@@ -52,7 +55,6 @@ void ClientRuntime::OnMemAccess(const MemAccessEvent& event) {
     }
   }
   watchpoints_.OnMemAccess(event);
-  perf_.OnMemAccess(event);
 }
 
 void ClientRuntime::OnReturn(ThreadId tid, CoreId core, InstrId instr, FunctionId to_function,
@@ -60,25 +62,10 @@ void ClientRuntime::OnReturn(ThreadId tid, CoreId core, InstrId instr, FunctionI
   tracer_.OnReturn(tid, core, instr, to_function, to_block, to_index);
 }
 
-void ClientRuntime::OnInstrRetired(ThreadId tid, CoreId core, InstrId instr) {
-  perf_.OnInstrRetired(tid, core, instr);
-  if (plan_.ShouldStopAfter(instr)) {
+void ClientRuntime::OnInstrRetired(ThreadId /*tid*/, CoreId core, InstrId instr) {
+  if ((sites_.instrs[instr] & kSitePtStop) != 0) {
     const InstrLocation& loc = module_.location(instr);
     tracer_.Disable(core, loc.function, loc.block, loc.index);
-  }
-}
-
-void ClientRuntime::OnInstrRetiredBatch(ThreadId tid, CoreId core, const InstrId* instrs,
-                                        size_t count) {
-  perf_.OnInstrRetiredBatch(tid, core, instrs, count);
-  if (plan_.pt_stop_instrs.empty()) {
-    return;  // no stop sites anywhere: the whole run needs no per-instr scan
-  }
-  for (size_t i = 0; i < count; ++i) {
-    if (plan_.ShouldStopAfter(instrs[i])) {
-      const InstrLocation& loc = module_.location(instrs[i]);
-      tracer_.Disable(core, loc.function, loc.block, loc.index);
-    }
   }
 }
 
@@ -128,7 +115,7 @@ RunTrace ClientRuntime::TakeTrace(uint64_t run_id, const RunResult& result) {
   trace.activity.pt_toggles = tracer_.toggle_count();
   trace.activity.watch_traps = watchpoints_.trap_count();
   trace.activity.watch_arms = watchpoints_.arm_operations();
-  trace.baseline_instructions = perf_.instructions();
+  trace.baseline_instructions = result.stats.retired;
   return trace;
 }
 

@@ -4,7 +4,10 @@
 // production run: it toggles the (simulated) Intel PT driver at the plan's
 // start blocks and stop instructions, arms hardware watchpoints when tracked
 // accesses first execute, and packages everything into a RunTrace for the
-// server.
+// server. The plan's sites arrive compiled into a SiteTable, which the VM
+// also filters the run's per-instruction events on (DESIGN.md §7), so the
+// runtime pays only at its sites — like the paper's client, where PT is
+// toggled by static patches and a debug register traps only on its address.
 
 #ifndef GIST_SRC_CORE_CLIENT_RUNTIME_H_
 #define GIST_SRC_CORE_CLIENT_RUNTIME_H_
@@ -22,8 +25,10 @@ namespace gist {
 
 class ClientRuntime : public ExecutionObserver, public InstrumentationHook {
  public:
-  ClientRuntime(const Module& module, const InstrumentationPlan& plan, uint32_t num_cores,
-                size_t pt_buffer_bytes = kDefaultPtBufferBytes,
+  // `sites` must be CompileSiteTable(module, plan); both must outlive the
+  // runtime.
+  ClientRuntime(const Module& module, const InstrumentationPlan& plan, const SiteTable& sites,
+                uint32_t num_cores, size_t pt_buffer_bytes = kDefaultPtBufferBytes,
                 uint32_t watchpoint_slots = kNumWatchpointSlots);
 
   // "Use the snapshot's watchpoint budget" sentinel for the ctor below.
@@ -40,20 +45,30 @@ class ClientRuntime : public ExecutionObserver, public InstrumentationHook {
                 uint32_t watchpoint_slots = kSnapshotSlots);
 
   // Collects the run's traces; call after the VM run completes. `run_id`
-  // tags the trace; the run result supplies the outcome.
+  // tags the trace; the run result supplies the outcome and the retired-
+  // instruction count (the overhead baseline).
   RunTrace TakeTrace(uint64_t run_id, const RunResult& result);
 
   // --- ExecutionObserver ----------------------------------------------------
-  // Everything except thread lifecycle. Batching is safe here: the VM's flush
-  // rules deliver buffered retired events (and with them the PT stop-toggle)
-  // before every control-flow event the tracer sees, and buffered accesses
-  // before every hook site that could arm a watchpoint, so the PT byte
-  // streams and watchpoint logs are identical to unbatched delivery.
+  // Everything except thread lifecycle. Batched, site-filtered delivery is
+  // exact here: the VM buffers a retired event only at a PT-stop site and
+  // flushes it (and with it the stop toggle) before every control-flow event
+  // the tracer sees — stop sites can be br/call/ret, where no hook fires. An
+  // access reaches the runtime at a watch site, delivered at once after
+  // everything buffered because it may arm its address, or at an armed
+  // address; every other access is a no-op here, and the armed set changes
+  // only in those deliveries and in hook calls, which flush first. So the PT
+  // byte streams and watchpoint logs are identical to unbatched delivery of
+  // every event (reference dispatch).
   uint32_t SubscribedEvents() const override {
     return kEvContextSwitch | kEvBlockEnter | kEvBranch | kEvMemAccess | kEvReturn |
            kEvInstrRetired;
   }
   bool AcceptsEventBatches() const override { return true; }
+  // The plan's compiled sites, for the VM's event filter and hook sites
+  // (overrides both ExecutionObserver::Sites and InstrumentationHook::Sites).
+  const SiteTable* Sites() const override { return &sites_; }
+  const std::vector<Addr>* ArmedAddrs() const override { return &watchpoints_.armed(); }
   void OnContextSwitch(CoreId core, ThreadId prev, ThreadId next, FunctionId next_function,
                        BlockId next_block, uint32_t next_index) override;
   void OnBlockEnter(ThreadId tid, CoreId core, FunctionId function, BlockId block) override;
@@ -62,15 +77,9 @@ class ClientRuntime : public ExecutionObserver, public InstrumentationHook {
   void OnReturn(ThreadId tid, CoreId core, InstrId instr, FunctionId to_function,
                 BlockId to_block, uint32_t to_index) override;
   void OnInstrRetired(ThreadId tid, CoreId core, InstrId instr) override;
-  void OnInstrRetiredBatch(ThreadId tid, CoreId core, const InstrId* instrs,
-                           size_t count) override;
 
   // --- InstrumentationHook (watchpoint arming with register access) --------
-  // Only the plan's arm sites do anything; let the VM skip the hook (and its
-  // ordering flushes) everywhere else.
-  bool NeedsInstr(InstrId instr) const override {
-    return plan_.arm_before.count(instr) != 0 || plan_.arm_after.count(instr) != 0;
-  }
+  // Only the plan's arm sites do anything (the table's hook bits).
   void BeforeInstr(ThreadId tid, InstrId instr, const std::vector<Word>& regs) override;
   void AfterInstr(ThreadId tid, InstrId instr, const std::vector<Word>& regs) override;
 
@@ -85,9 +94,9 @@ class ClientRuntime : public ExecutionObserver, public InstrumentationHook {
 
   const Module& module_;
   const InstrumentationPlan& plan_;
+  const SiteTable& sites_;
   PtTracer tracer_;
   WatchpointUnit watchpoints_;
-  PerfCounter perf_;
   std::vector<InstrId> unarmed_;
 };
 

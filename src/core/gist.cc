@@ -171,8 +171,8 @@ PlanSnapshot GistServer::Snapshot() const {
               PlanSnapshot::BuildRotations(plan_, options_.watchpoint_slots));
         });
   }
-  return PlanSnapshot(plan_, options_.watchpoint_slots, plan_version_, sigma(), decoded_,
-                      std::move(rotations));
+  return PlanSnapshot(module_, plan_, options_.watchpoint_slots, plan_version_, sigma(),
+                      decoded_, std::move(rotations));
 }
 
 Result<FailureSketch> GistServer::BuildSketch() const {
@@ -345,7 +345,8 @@ ProfiledRunSample MakeProfiledSample(const MonitoredRun& run) {
 MonitoredRun RunMonitored(const Module& module, const InstrumentationPlan& plan,
                           const Workload& workload, const GistOptions& options, uint64_t run_id,
                           uint64_t max_steps) {
-  ClientRuntime runtime(module, plan, options.num_cores, options.pt_buffer_bytes,
+  const SiteTable sites = CompileSiteTable(module, plan);
+  ClientRuntime runtime(module, plan, sites, options.num_cores, options.pt_buffer_bytes,
                         options.watchpoint_slots);
   MonitoredRun run;
   VmOptions vm_options;

@@ -56,12 +56,6 @@ struct InstrumentationPlan {
   // The slice window this plan monitors (proximity order, failure first).
   std::vector<InstrId> window;
 
-  bool ShouldStartAt(FunctionId function, BlockId block) const {
-    return pt_start_blocks.count({function, block}) != 0;
-  }
-  bool ShouldStopAfter(InstrId instr) const { return pt_stop_instrs.count(instr) != 0; }
-  bool ShouldWatch(InstrId instr) const { return watch_instrs.count(instr) != 0; }
-
   // Rough size of the binary patch bsdiff would ship (used by the fleet simulation).
   size_t site_count() const {
     return pt_start_blocks.size() + pt_stop_instrs.size() + watch_instrs.size();

@@ -21,8 +21,42 @@ void FilterArmSites(const std::unordered_set<InstrId>& mine,
 
 }  // namespace
 
-PlanSnapshot::PlanSnapshot(InstrumentationPlan plan, uint32_t watchpoint_slots, uint64_t version,
-                           uint32_t sigma, std::shared_ptr<const DecodedModule> decoded,
+SiteTable CompileSiteTable(const Module& module, const InstrumentationPlan& plan) {
+  SiteTable table;
+  table.instrs.assign(module.num_instructions(), 0);
+  uint32_t blocks = 0;
+  table.first_block.reserve(module.num_functions());
+  for (FunctionId function = 0; function < module.num_functions(); ++function) {
+    table.first_block.push_back(blocks);
+    blocks += static_cast<uint32_t>(module.function(function).num_blocks());
+  }
+  table.blocks.assign(blocks, 0);
+  auto mark = [&](InstrId instr, uint8_t flag) {
+    table.instrs[instr] |= flag;
+    const InstrLocation& loc = module.location(instr);
+    table.blocks[table.first_block[loc.function] + loc.block] |= flag;
+  };
+  for (const auto& [instr, sites] : plan.arm_before) {
+    mark(instr, kSiteHookBefore);
+  }
+  for (const auto& [instr, sites] : plan.arm_after) {
+    mark(instr, kSiteHookAfter);
+  }
+  for (InstrId instr : plan.pt_stop_instrs) {
+    mark(instr, kSitePtStop);
+  }
+  for (InstrId instr : plan.watch_instrs) {
+    mark(instr, kSiteWatch);
+  }
+  for (const auto& [function, block] : plan.pt_start_blocks) {
+    table.blocks[table.first_block[function] + block] |= kSitePtStart;
+  }
+  return table;
+}
+
+PlanSnapshot::PlanSnapshot(const Module& module, InstrumentationPlan plan,
+                           uint32_t watchpoint_slots, uint64_t version, uint32_t sigma,
+                           std::shared_ptr<const DecodedModule> decoded,
                            std::shared_ptr<const RotationList> rotations)
     : plan_(std::move(plan)),
       slots_(watchpoint_slots),
@@ -30,13 +64,19 @@ PlanSnapshot::PlanSnapshot(InstrumentationPlan plan, uint32_t watchpoint_slots, 
       sigma_(sigma),
       decoded_(std::move(decoded)),
       rotations_(std::move(rotations)) {
-  if (rotations_ != nullptr) {
-    return;  // caller supplied the materialized list (artifact-store reuse)
+  // Unless the caller supplied the materialized list (artifact-store reuse),
+  // rotate only when some client cannot watch the whole set.
+  if (rotations_ == nullptr && plan_.watch_instrs.size() > slots_) {
+    rotations_ = std::make_shared<const RotationList>(BuildRotations(plan_, slots_));
   }
-  if (plan_.watch_instrs.size() <= slots_) {
-    return;  // every client can watch the whole set; no rotation
+  if (rotation_count() == 0) {
+    sites_.push_back(CompileSiteTable(module, plan_));
+    return;
   }
-  rotations_ = std::make_shared<const RotationList>(BuildRotations(plan_, slots_));
+  sites_.reserve(rotation_count());
+  for (const InstrumentationPlan& rotation : *rotations_) {
+    sites_.push_back(CompileSiteTable(module, rotation));
+  }
 }
 
 PlanSnapshot::RotationList PlanSnapshot::BuildRotations(const InstrumentationPlan& plan,
@@ -62,11 +102,16 @@ PlanSnapshot::RotationList PlanSnapshot::BuildRotations(const InstrumentationPla
   return rotations;
 }
 
+size_t PlanSnapshot::PlanIndex(uint64_t client_index) const {
+  return rotation_count() == 0 ? 0 : (client_index * slots_) % rotation_count();
+}
+
 const InstrumentationPlan& PlanSnapshot::ForClient(uint64_t client_index) const {
-  if (rotations_ == nullptr || rotations_->empty()) {
-    return plan_;
-  }
-  return (*rotations_)[(client_index * slots_) % rotations_->size()];
+  return rotation_count() == 0 ? plan_ : (*rotations_)[PlanIndex(client_index)];
+}
+
+const SiteTable& PlanSnapshot::SitesForClient(uint64_t client_index) const {
+  return sites_[PlanIndex(client_index)];
 }
 
 }  // namespace gist

@@ -14,7 +14,9 @@
 // watches the contiguous window of `slots` accesses starting at sorted
 // offset (K * slots) mod |accesses|. There are at most |accesses| distinct
 // windows, so the snapshot materializes each restricted plan once at freeze
-// time; per-run plan lookup is an index, not a sort-and-filter.
+// time; per-run plan lookup is an index, not a sort-and-filter. Each of those
+// plans is compiled once into the SiteTable its clients' runs filter on
+// (src/vm/observer.h, DESIGN.md §7).
 
 #ifndef GIST_SRC_CORE_PLAN_SNAPSHOT_H_
 #define GIST_SRC_CORE_PLAN_SNAPSHOT_H_
@@ -25,14 +27,21 @@
 
 #include "src/core/instrumentation.h"
 #include "src/vm/decoded_module.h"
+#include "src/vm/observer.h"
 
 namespace gist {
+
+// Compiles `plan`'s client sites for `module`: hook-before/after at the arm
+// sites, PT-stop and watch flags at the plan's stop and watch instructions,
+// and a PT-start flag on every start block.
+SiteTable CompileSiteTable(const Module& module, const InstrumentationPlan& plan);
 
 class PlanSnapshot {
  public:
   using RotationList = std::vector<InstrumentationPlan>;
 
-  // Freezes `plan` for clients with `watchpoint_slots` hardware slots.
+  // Freezes `plan` (a plan for `module`) for clients with `watchpoint_slots`
+  // hardware slots.
   // `version` counts the server's replans (any refinement discovery or AsT
   // advance bumps it); `sigma` records the AsT window size the plan tracks.
   // `decoded` optionally ships the server's pre-decoded module cache so every
@@ -42,8 +51,9 @@ class PlanSnapshot {
   // exactly this (plan, slots) — the artifact store hands the same list to
   // every re-freeze of an unchanged plan (DESIGN.md §11); when null the
   // snapshot builds its own.
-  PlanSnapshot(InstrumentationPlan plan, uint32_t watchpoint_slots, uint64_t version,
-               uint32_t sigma, std::shared_ptr<const DecodedModule> decoded = nullptr,
+  PlanSnapshot(const Module& module, InstrumentationPlan plan, uint32_t watchpoint_slots,
+               uint64_t version, uint32_t sigma,
+               std::shared_ptr<const DecodedModule> decoded = nullptr,
                std::shared_ptr<const RotationList> rotations = nullptr);
 
   // Materializes the §3.2.3 rotation windows of `plan` for `slots`-register
@@ -56,6 +66,8 @@ class PlanSnapshot {
   // The plan client `client_index` actually runs: the base plan when the
   // watch set fits the slots, otherwise that client's rotation window.
   const InstrumentationPlan& ForClient(uint64_t client_index) const;
+  // The compiled sites of ForClient(client_index).
+  const SiteTable& SitesForClient(uint64_t client_index) const;
 
   uint64_t version() const { return version_; }
   uint32_t sigma() const { return sigma_; }
@@ -78,6 +90,12 @@ class PlanSnapshot {
   // [r, r + slots) mod |accesses|; indexed by (client * slots) mod size.
   // Shared immutably: re-freezes of an unchanged plan reuse one list.
   std::shared_ptr<const RotationList> rotations_;
+  // One compiled table per plan a client can run: the base plan's alone, or
+  // one per rotation, in rotation order.
+  std::vector<SiteTable> sites_;
+
+  // Index of client `client_index`'s plan: its rotation, or 0 (the base).
+  size_t PlanIndex(uint64_t client_index) const;
 };
 
 }  // namespace gist

@@ -1,5 +1,7 @@
 #include "src/hw/watchpoints.h"
 
+#include <algorithm>
+
 namespace gist {
 
 bool WatchpointUnit::Arm(Addr addr, WatchTrigger trigger) {
@@ -22,6 +24,7 @@ bool WatchpointUnit::Arm(Addr addr, WatchTrigger trigger) {
     if (slot.addr == kNullAddr) {
       slot.addr = addr;
       slot.trigger = trigger;
+      armed_.push_back(addr);
       ++arm_operations_;
       ++slot_arms_[i];  // fresh claim of this debug register
       const uint32_t active = active_count();
@@ -42,6 +45,7 @@ void WatchpointUnit::Disarm(Addr addr) {
       ++arm_operations_;
     }
   }
+  armed_.erase(std::remove(armed_.begin(), armed_.end(), addr), armed_.end());
 }
 
 void WatchpointUnit::DisarmAll() {
@@ -51,25 +55,11 @@ void WatchpointUnit::DisarmAll() {
       ++arm_operations_;
     }
   }
+  armed_.clear();
 }
 
 bool WatchpointUnit::IsWatched(Addr addr) const {
-  for (const Slot& slot : slots_) {
-    if (slot.addr == addr && slot.addr != kNullAddr) {
-      return true;
-    }
-  }
-  return false;
-}
-
-uint32_t WatchpointUnit::active_count() const {
-  uint32_t count = 0;
-  for (const Slot& slot : slots_) {
-    if (slot.addr != kNullAddr) {
-      ++count;
-    }
-  }
-  return count;
+  return std::find(armed_.begin(), armed_.end(), addr) != armed_.end();
 }
 
 void WatchpointUnit::OnMemAccess(const MemAccessEvent& event) {

@@ -53,7 +53,11 @@ class WatchpointUnit : public ExecutionObserver {
   void DisarmAll();
 
   bool IsWatched(Addr addr) const;
-  uint32_t active_count() const;
+  uint32_t active_count() const { return static_cast<uint32_t>(armed_.size()); }
+  // The armed addresses, one per busy slot (in arm order). A client runtime
+  // hands this to the VM, which delivers an access outside the runtime's
+  // watch sites only when its address is in here.
+  const std::vector<Addr>& armed() const { return armed_; }
 
   const std::vector<WatchEvent>& events() const { return events_; }
   // Number of debug traps delivered (each costs a trap round in the perf
@@ -87,7 +91,7 @@ class WatchpointUnit : public ExecutionObserver {
   bool AcceptsEventBatches() const override { return true; }
   void OnMemAccess(const MemAccessEvent& event) override;
   void OnMemAccessBatch(const MemAccessEvent* events, size_t count) override {
-    if (active_count() == 0) {
+    if (armed_.empty()) {
       return;  // nothing armed: the whole run of accesses cannot trap
     }
     for (size_t i = 0; i < count; ++i) {
@@ -102,6 +106,7 @@ class WatchpointUnit : public ExecutionObserver {
   };
 
   std::vector<Slot> slots_;
+  std::vector<Addr> armed_;  // addresses of the busy slots
   std::vector<WatchEvent> events_;
   uint64_t arm_operations_ = 0;
   uint64_t denied_arms_ = 0;

@@ -10,10 +10,18 @@
 // OnMemAccess) are additionally batched for observers that opt in
 // (AcceptsEventBatches): the VM buffers them per thread slice and delivers
 // contiguous runs at the next non-batched event (block entry, branch,
-// return, context switch, thread event, instrumentation-hook site), so the
-// common case per retired instruction is a pointer bump instead of a
-// virtual fan-out. See DESIGN.md §7 for the flush rules and why the
-// determinism contract survives them.
+// return, context switch, thread event, instrumentation-hook site).
+//
+// A batched observer that only acts at a few instrumentation sites (Gist's
+// client runtime) can go further and hand the VM a SiteTable (Sites()): the
+// VM then buffers a retired event only at kSitePtStop instructions, delivers
+// an access immediately at kSiteWatch instructions, and otherwise delivers
+// an access only when its address is in the observer's live armed set
+// (ArmedAddrs()) — the way PT is toggled by patches at static sites and a
+// debug register traps only on its armed address. Block entries reach it
+// only at kSitePtStart blocks. Everywhere else a retired instruction costs
+// nothing but the site-flag load. See DESIGN.md §7 for the flush rules and
+// why the determinism contract survives them.
 
 #ifndef GIST_SRC_VM_OBSERVER_H_
 #define GIST_SRC_VM_OBSERVER_H_
@@ -40,6 +48,34 @@ enum ObservedEvents : uint32_t {
   kEvInstrRetired = 1u << 5,    // OnInstrRetired / OnInstrRetiredBatch
   kEvThreadLifecycle = 1u << 6, // OnThreadStart / OnThreadExit
   kEvAll = (1u << 7) - 1,
+};
+
+// Per-instruction site flags of a SiteTable.
+enum SiteFlags : uint8_t {
+  kSiteHookBefore = 1u << 0,  // InstrumentationHook::BeforeInstr acts here
+  kSiteHookAfter = 1u << 1,   // InstrumentationHook::AfterInstr acts here
+  kSitePtStop = 1u << 2,      // the observer needs this instruction's retired event
+  kSiteWatch = 1u << 3,       // the observer needs this instruction's accesses
+  kSitePtStart = 1u << 4,     // block flag only: entering the block starts PT
+};
+
+// A frozen plan's client sites, compiled once per plan (CompileSiteTable in
+// src/core/plan_snapshot.h) and read-only afterwards, so concurrent runs of
+// one plan share it.
+struct SiteTable {
+  // SiteFlags by InstrId.
+  std::vector<uint8_t> instrs;
+  // By dense block index (function-major, block order — the layout of
+  // DecodedBlock::profile_index): kSitePtStart if entering the block starts
+  // PT, plus the OR of its instructions' flags, so a fused body can be
+  // excluded with one test per block.
+  std::vector<uint8_t> blocks;
+  // Dense index of each function's first block.
+  std::vector<uint32_t> first_block;
+
+  uint8_t BlockFlags(FunctionId function, BlockId block) const {
+    return blocks[first_block[function] + block];
+  }
 };
 
 // One dynamic shared-memory access (load or store), in global total order.
@@ -80,15 +116,12 @@ class InstrumentationHook {
     (void)regs;
   }
 
-  // Whether BeforeInstr/AfterInstr do anything at `instr`. The VM queries
-  // this once per instruction id at Run() start and skips the hook calls (and
-  // the batch flushes ordered around them) everywhere else, so a hook that
-  // instruments a handful of sites costs nothing on the rest of the program.
-  // The default keeps the historical call-everywhere behavior.
-  virtual bool NeedsInstr(InstrId instr) const {
-    (void)instr;
-    return true;
-  }
+  // Where BeforeInstr/AfterInstr do anything: the kSiteHookBefore /
+  // kSiteHookAfter bits of the returned table. The VM skips the hook calls
+  // (and the batch flushes ordered around them) everywhere else, so a hook
+  // that instruments a handful of sites costs nothing on the rest of the
+  // program. Null (the default) keeps the call-everywhere behavior.
+  virtual const SiteTable* Sites() const { return nullptr; }
 };
 
 class ExecutionObserver {
@@ -111,6 +144,19 @@ class ExecutionObserver {
   // record/replay recorder, which logs a single interleaved stream, must
   // not).
   virtual bool AcceptsEventBatches() const { return false; }
+
+  // Site-filtered delivery. An observer that returns a table here needs a
+  // retired event only at kSitePtStop instructions, an access only at
+  // kSiteWatch instructions or at an address in *ArmedAddrs() — the
+  // addresses it currently watches, read live by the VM and changed only
+  // inside a watch-site delivery or a hook call — and a block entry only at
+  // kSitePtStart blocks. When such an observer is the only subscriber of
+  // block entries, or the only batched subscriber of a hot event class, the
+  // VM filters that class accordingly; reference dispatch never filters. The
+  // handlers must still be correct under unfiltered delivery, and a no-op on
+  // every event the filter drops.
+  virtual const SiteTable* Sites() const { return nullptr; }
+  virtual const std::vector<Addr>* ArmedAddrs() const { return nullptr; }
 
   // Batched entry points; defaults unbatch so an observer can opt in without
   // implementing them. `events`/`instrs` are contiguous runs from a single

@@ -17,6 +17,12 @@ uint32_t FlushBucket(size_t size) {
                             RunStats::kFlushSizeBuckets - 1);
 }
 
+// Whether an access to `addr` can trap: an inline compare against the
+// observer's few armed addresses; an empty set costs one size test.
+bool IsArmed(const std::vector<Addr>& armed, Addr addr) {
+  return std::find(armed.begin(), armed.end(), addr) != armed.end();
+}
+
 }  // namespace
 
 bool ParseExecTier(std::string_view text, ExecTier* tier) {
@@ -85,47 +91,72 @@ void Vm::BuildDispatch() {
   mem_observed_ = !on_mem_immediate_.empty() || !on_mem_batched_.empty();
   retired_observed_ = !on_retired_immediate_.empty() || !on_retired_batched_.empty();
 
+  // The run's site table (DESIGN.md §7). A hook without one runs everywhere,
+  // as does every hook under reference dispatch.
+  const SiteTable* table = nullptr;
   if (options_.hook != nullptr) {
-    // Ask the hook once per instruction id which sites it instruments; the
-    // interpreter then skips the two virtual hook calls everywhere else. The
-    // reference path keeps the historical call-everywhere behavior.
-    hook_everywhere_ = reference;
-    if (!hook_everywhere_) {
-      const size_t count = module_.num_instructions();
-      hook_sites_.assign(count, 0);
-      for (InstrId id = 0; id < count; ++id) {
-        hook_sites_[id] = options_.hook->NeedsInstr(id) ? 1 : 0;
-      }
+    table = reference ? nullptr : options_.hook->Sites();
+    hook_everywhere_ = table == nullptr;
+    if (table != nullptr) {
+      site_mask_ |= kSiteHookBefore | kSiteHookAfter;
     }
+  }
+  // An event class is filtered only when its one subscriber (for the hot
+  // classes: its one batched subscriber) supplies the run's table; any other
+  // subscriber needs every event. Reference dispatch never filters.
+  auto filter_table = [&](const std::vector<ExecutionObserver*>& subscribers)
+      -> const SiteTable* {
+    if (reference || subscribers.size() != 1) {
+      return nullptr;
+    }
+    const SiteTable* sites = subscribers.front()->Sites();
+    return table == nullptr || sites == table ? sites : nullptr;
+  };
+  if (const SiteTable* sites = filter_table(on_retired_batched_); sites != nullptr) {
+    table = sites;
+    site_mask_ |= kSitePtStop;
+  }
+  if (const SiteTable* sites = filter_table(on_mem_batched_);
+      sites != nullptr && on_mem_batched_.front()->ArmedAddrs() != nullptr) {
+    table = sites;
+    armed_ = on_mem_batched_.front()->ArmedAddrs();
+    site_mask_ |= kSiteWatch;
+  }
+  if (const SiteTable* sites = filter_table(on_block_enter_); sites != nullptr) {
+    table = sites;
+    block_sites_ = sites->blocks.data();
+  }
+  if (table != nullptr) {
+    GIST_CHECK_EQ(table->instrs.size(), module_.num_instructions())
+        << "site table compiled for a different module";
+    GIST_CHECK_EQ(table->blocks.size(), decoded_->num_blocks())
+        << "site table compiled for a different module";
+    sites_ = table->instrs.data();
   }
 
   // Fused bodies (DESIGN.md §12). Whole-run deopt: immediate retired/mem
-  // subscribers need one virtual call per event in op order, and reference
-  // dispatch is the per-op oracle — both incompatible with region-batched
-  // execution, so such runs interpret every op.
-  if (!reference && on_retired_immediate_.empty() && on_mem_immediate_.empty()) {
+  // subscribers need one virtual call per event in op order, reference
+  // dispatch is the per-op oracle, and a hook without a table runs at every
+  // op — all incompatible with region-batched execution, so such runs
+  // interpret every op.
+  if (!reference && !hook_everywhere_ && on_retired_immediate_.empty() &&
+      on_mem_immediate_.empty()) {
     fused_entry_ = decoded_->fused_entries();
-    if (options_.hook != nullptr) {
-      // Per-block deopt: a block containing any hook site interprets per-op
-      // so BeforeInstr/AfterInstr (and their ordering flushes) fire exactly
-      // where per-op interpretation fires them.
-      for (const FusedBlock*& entry : fused_entry_) {
-        if (entry == nullptr) {
-          continue;
-        }
-        bool hooked = hook_sites_[entry->term_src->id] != 0;
-        for (const FusedOp& op : entry->ops) {
-          hooked = hooked || hook_sites_[op.src->id] != 0;
-        }
-        if (hooked) {
-          entry = nullptr;
+    if (table != nullptr) {
+      // Per-block deopt: a block holding a site in force (hook, PT stop,
+      // watched access) interprets per op, so its hook calls, site
+      // deliveries and their ordering flushes happen exactly where per-op
+      // interpretation puts them.
+      for (size_t block = 0; block < fused_entry_.size(); ++block) {
+        if ((table->blocks[block] & site_mask_) != 0) {
+          fused_entry_[block] = nullptr;
         }
       }
     }
   }
 }
 
-void Vm::FlushBatches() {
+void Vm::DeliverBatches() {
   if (!mem_batch_.empty()) {
     for (ExecutionObserver* observer : on_mem_batched_) {
       observer->OnMemAccessBatch(mem_batch_.data(), mem_batch_.size());
@@ -186,6 +217,12 @@ void Vm::RaiseFailure(ThreadState& thread, FailureType type, InstrId instr,
   done_ = true;
 }
 
+void Vm::RaiseFault(ThreadState& thread, FailureType type, InstrId instr,
+                    const std::string& message) {
+  ++unretired_steps_;
+  RaiseFailure(thread, type, instr, message);
+}
+
 std::vector<InstrId> Vm::StackTrace(const ThreadState& thread, InstrId failing) const {
   std::vector<InstrId> trace;
   for (const Frame& frame : thread.stack) {
@@ -199,6 +236,9 @@ std::vector<InstrId> Vm::StackTrace(const ThreadState& thread, InstrId failing) 
 
 void Vm::NotifyBlockEnter(ThreadState& thread) {
   const Frame& frame = thread.stack.back();
+  if (!NeedsBlockEnter(frame.block->profile_index)) {
+    return;
+  }
   Dispatch(on_block_enter_, [&](ExecutionObserver& o) {
     o.OnBlockEnter(thread.id, thread.core, frame.function->id, frame.block->id);
   });
@@ -221,9 +261,13 @@ uint64_t Vm::StepBurst(ThreadState& thread, uint64_t max_count) {
   // Hoisted out of the per-instruction path: the scheduler loop in Run()
   // charges the whole burst to the step budget and the quantum at once, and
   // the observer/hook configuration cannot change mid-run.
-  const bool has_hook = options_.hook != nullptr;
+  const uint8_t* const sites = sites_;
+  const uint8_t site_mask = site_mask_;
+  const uint8_t hook_all = hook_everywhere_ ? kSiteHookBefore | kSiteHookAfter : 0;
   const bool mem_observed = mem_observed_;
   const bool retired_observed = retired_observed_;
+  const bool retired_filtered = (site_mask_ & kSitePtStop) != 0;
+  const std::vector<Addr>* const armed = armed_;
   const ThreadId tid = thread.id;
   const CoreId core = thread.core;
 
@@ -282,6 +326,9 @@ uint64_t Vm::StepBurst(ThreadState& thread, uint64_t max_count) {
     }
   };
   auto notify_block_enter = [&]() {
+    if (!NeedsBlockEnter(block->profile_index)) {
+      return;
+    }
     Dispatch(on_block_enter_, [&](ExecutionObserver& o) {
       o.OnBlockEnter(tid, core, frame->function->id, block->id);
     });
@@ -341,12 +388,15 @@ uint64_t Vm::StepBurst(ThreadState& thread, uint64_t max_count) {
       ++*prof_retired;
     }
 
+    // This instruction's sites in force (hook calls, filtered deliveries).
+    const uint8_t site = (sites != nullptr ? sites[instr.id] & site_mask : 0) | hook_all;
+
     auto mem_fault = [&](MemFault fault, Addr addr) {
       const Instruction& full = *instr.src;
-      RaiseFailure(thread, MemFaultToFailure(fault), instr.id,
-                   StrFormat("%s at address 0x%llx: %s", FailureTypeName(MemFaultToFailure(fault)),
-                             static_cast<unsigned long long>(addr),
-                             full.loc.text.empty() ? OpcodeName(instr.op) : full.loc.text.c_str()));
+      RaiseFault(thread, MemFaultToFailure(fault), instr.id,
+                 StrFormat("%s at address 0x%llx: %s", FailureTypeName(MemFaultToFailure(fault)),
+                           static_cast<unsigned long long>(addr),
+                           full.loc.text.empty() ? OpcodeName(instr.op) : full.loc.text.c_str()));
     };
     auto emit_access = [&](Addr addr, Word value, bool is_write) {
       ++result_.stats.mem_accesses;
@@ -361,8 +411,16 @@ uint64_t Vm::StepBurst(ThreadState& thread, uint64_t max_count) {
           observer->OnMemAccess(event);
         }
       }
-      if (!on_mem_batched_.empty()) {
+      if (on_mem_batched_.empty()) {
+        return;
+      }
+      if (armed == nullptr || IsArmed(*armed, addr)) {
         mem_batch_.push_back(event);
+      } else if ((site & kSiteWatch) != 0) {
+        // A watched access may arm its address, which changes the filter for
+        // every later access: deliver it now, after everything buffered.
+        mem_batch_.push_back(event);
+        FlushBatches();
       }
     };
     auto retire = [&]() {
@@ -375,7 +433,7 @@ uint64_t Vm::StepBurst(ThreadState& thread, uint64_t max_count) {
           observer->OnInstrRetired(tid, core, instr.id);
         }
       }
-      if (!on_retired_batched_.empty()) {
+      if (!on_retired_batched_.empty() && (!retired_filtered || (site & kSitePtStop) != 0)) {
         if (retired_batch_.empty()) {
           batch_tid_ = tid;
           batch_core_ = core;
@@ -384,8 +442,7 @@ uint64_t Vm::StepBurst(ThreadState& thread, uint64_t max_count) {
       }
     };
 
-    const bool hooked = has_hook && (hook_everywhere_ || hook_sites_[instr.id] != 0);
-    if (hooked) {
+    if ((site & kSiteHookBefore) != 0) {
       // Flush so the hook (which may arm watchpoints from live registers)
       // observes every earlier access before it runs — the unbatched order.
       FlushBatches();
@@ -420,7 +477,7 @@ uint64_t Vm::StepBurst(ThreadState& thread, uint64_t max_count) {
         const Word rhs = reg(instr.op1);
         if (rhs == 0) {
           sync_frame();
-          RaiseFailure(thread, FailureType::kArithmeticFault, instr.id, "division by zero");
+          RaiseFault(thread, FailureType::kArithmeticFault, instr.id, "division by zero");
           return executed;
         }
         set_reg(instr.dst, instr.exec == ExecOp::kDiv ? lhs / rhs : lhs % rhs);
@@ -511,8 +568,8 @@ uint64_t Vm::StepBurst(ThreadState& thread, uint64_t max_count) {
       case ExecOp::kCall: {
         if (thread.stack.size() >= options_.max_call_depth) {
           sync_frame();
-          RaiseFailure(thread, FailureType::kStackOverflow, instr.id,
-                       "call depth exceeded the stack limit");
+          RaiseFault(thread, FailureType::kStackOverflow, instr.id,
+                     "call depth exceeded the stack limit");
           return executed;
         }
         const DecodedFunction& callee_function = decoded_->function(instr.callee);
@@ -598,8 +655,8 @@ uint64_t Vm::StepBurst(ThreadState& thread, uint64_t max_count) {
       case ExecOp::kAssert:
         if (reg(instr.op0) == 0) {
           sync_frame();
-          RaiseFailure(thread, FailureType::kAssertViolation, instr.id,
-                       "assertion failed: " + instr.src->text);
+          RaiseFault(thread, FailureType::kAssertViolation, instr.id,
+                     "assertion failed: " + instr.src->text);
           return executed;
         }
         break;
@@ -613,7 +670,7 @@ uint64_t Vm::StepBurst(ThreadState& thread, uint64_t max_count) {
         const Word target = reg(instr.op0);
         if (target < 0 || static_cast<size_t>(target) >= threads_.size()) {
           sync_frame();
-          RaiseFailure(thread, FailureType::kSegFault, instr.id, "join of invalid thread id");
+          RaiseFault(thread, FailureType::kSegFault, instr.id, "join of invalid thread id");
           return executed;
         }
         ThreadState& joinee = threads_[static_cast<size_t>(target)];
@@ -687,7 +744,7 @@ uint64_t Vm::StepBurst(ThreadState& thread, uint64_t max_count) {
         break;
     }
 
-    if (hooked) {
+    if ((site & kSiteHookAfter) != 0) {
       // Deliver this instruction's own access before the hook runs (the
       // unbatched order is access, then AfterInstr arming).
       FlushBatches();
@@ -720,9 +777,10 @@ uint64_t Vm::StepBurst(ThreadState& thread, uint64_t max_count) {
 //     StepBurst would, and dispatches the same OnContextSwitch when the
 //     pick changes threads;
 //   * kObserved replicates the exact batch pushes and boundary dispatches:
-//     straight-line ops append to the mem/retired batch buffers, a kBr
-//     flushes via Dispatch(on_branch_) before the branch event and via
-//     Dispatch(on_block_enter_) after pushing the branch's own retired id —
+//     straight-line ops append to the mem/retired batch buffers (subject to
+//     the same site filters), a kBr flushes via Dispatch(on_branch_) before
+//     the branch event and via Dispatch(on_block_enter_) (when the entered
+//     block's event is needed) after pushing the branch's own retired id —
 //     the same flush boundaries, sizes, and event order as StepBurst;
 //   * faults sync the frame to the faulting op (index = op + 1, exactly
 //     where StepBurst leaves it) and raise the identical FailureReport;
@@ -739,7 +797,12 @@ uint64_t Vm::RunFusedChain(ThreadState& thread, const FusedBlock* fb, uint32_t i
   const FunctionId function_id = frame->function->id;
   [[maybe_unused]] BlockProfile* const prof = options_.profile;
   const bool mem_batched = kObserved && !on_mem_batched_.empty();
-  const bool retired_batched = kObserved && !on_retired_batched_.empty();
+  // Under retired filtering nothing here retires to a batch: blocks holding
+  // a PT-stop site never run fused. Under access filtering no op here is a
+  // watch site, so only accesses to armed addresses are delivered.
+  const bool retired_batched =
+      kObserved && !on_retired_batched_.empty() && (site_mask_ & kSitePtStop) == 0;
+  const std::vector<Addr>* const armed = armed_;
 
   uint64_t executed = 0;
   const FusedOp* chunk_begin = nullptr;
@@ -780,11 +843,11 @@ uint64_t Vm::RunFusedChain(ThreadState& thread, const FusedBlock* fb, uint32_t i
     fault_at(op);
     const DecodedInstr& instr = *op->src;
     const Instruction& full = *instr.src;
-    RaiseFailure(thread, MemFaultToFailure(fault), instr.id,
-                 StrFormat("%s at address 0x%llx: %s",
-                           FailureTypeName(MemFaultToFailure(fault)),
-                           static_cast<unsigned long long>(addr),
-                           full.loc.text.empty() ? OpcodeName(instr.op) : full.loc.text.c_str()));
+    RaiseFault(thread, MemFaultToFailure(fault), instr.id,
+               StrFormat("%s at address 0x%llx: %s",
+                         FailureTypeName(MemFaultToFailure(fault)),
+                         static_cast<unsigned long long>(addr),
+                         full.loc.text.empty() ? OpcodeName(instr.op) : full.loc.text.c_str()));
   };
   auto push_retired = [&](InstrId id) {
     if (retired_batched) {
@@ -901,7 +964,7 @@ chunk_done:
     op_div:
       if (regs[op->b] == 0) {
         fault_at(op);
-        RaiseFailure(thread, FailureType::kArithmeticFault, op->src->id, "division by zero");
+        RaiseFault(thread, FailureType::kArithmeticFault, op->src->id, "division by zero");
         return executed;
       }
       regs[op->dst] = regs[op->a] / regs[op->b];
@@ -909,7 +972,7 @@ chunk_done:
     op_rem:
       if (regs[op->b] == 0) {
         fault_at(op);
-        RaiseFailure(thread, FailureType::kArithmeticFault, op->src->id, "division by zero");
+        RaiseFault(thread, FailureType::kArithmeticFault, op->src->id, "division by zero");
         return executed;
       }
       regs[op->dst] = regs[op->a] % regs[op->b];
@@ -960,7 +1023,7 @@ chunk_done:
       regs[op->dst] = value;
       ++result_.stats.mem_accesses;
       const uint64_t seq = access_seq_++;
-      if (mem_batched) {
+      if (mem_batched && (armed == nullptr || IsArmed(*armed, addr))) {
         mem_batch_.push_back(
             MemAccessEvent{seq, tid, core, op->src->id, addr, value, /*is_write=*/false});
       }
@@ -976,7 +1039,7 @@ chunk_done:
       }
       ++result_.stats.mem_accesses;
       const uint64_t seq = access_seq_++;
-      if (mem_batched) {
+      if (mem_batched && (armed == nullptr || IsArmed(*armed, addr))) {
         mem_batch_.push_back(
             MemAccessEvent{seq, tid, core, op->src->id, addr, value, /*is_write=*/true});
       }
@@ -1006,8 +1069,8 @@ chunk_done:
     op_assert:
       if (regs[op->a] == 0) {
         fault_at(op);
-        RaiseFailure(thread, FailureType::kAssertViolation, op->src->id,
-                     "assertion failed: " + op->src->src->text);
+        RaiseFault(thread, FailureType::kAssertViolation, op->src->id,
+                   "assertion failed: " + op->src->src->text);
         return executed;
       }
       GIST_FUSED_NEXT();
@@ -1059,9 +1122,11 @@ chunk_done:
       }
       if constexpr (kObserved) {
         push_retired(fb->term_src->id);
-        Dispatch(on_block_enter_, [&](ExecutionObserver& o) {
-          o.OnBlockEnter(tid, core, function_id, next->id);
-        });
+        if (NeedsBlockEnter(next_pi)) {
+          Dispatch(on_block_enter_, [&](ExecutionObserver& o) {
+            o.OnBlockEnter(tid, core, function_id, next->id);
+          });
+        }
       }
       // Chain or deopt: stay fused while the successor has a fused body — the
       // quantum is no longer a reason to leave, renewal handles it above.
@@ -1297,6 +1362,7 @@ RunResult Vm::Run() {
   // mid-slice) so observers see the complete run before TakeTrace-style
   // harvesting.
   FlushBatches();
+  result_.stats.retired = result_.stats.steps - unretired_steps_;
   return result_;
 }
 

@@ -15,7 +15,9 @@
 // pre-validated instruction arrays with resolved successor pointers — and
 // observer dispatch goes through per-event subscription lists built at Run()
 // start, with the per-instruction-rate events (retired, mem access) batched
-// into buffers flushed at block boundaries / context switches / hook sites.
+// into buffers flushed at block boundaries / context switches / hook sites,
+// and filtered down to the instrumentation sites of an observer's SiteTable
+// when it supplies one (observer.h).
 // Pass VmOptions::decoded to share one cache across runs (the fleet does);
 // otherwise the VM decodes privately at construction. Blocks the
 // DecodedModule fused at decode time run as straight-line fused bodies
@@ -72,9 +74,10 @@ struct VmOptions {
   // Shared pre-decoded cache for `module` (must be decoded from the same
   // Module instance and outlive the VM). Null: the VM decodes privately.
   const DecodedModule* decoded = nullptr;
-  // Reference dispatch: ignore batching opt-ins and deliver every event as
-  // one virtual call per event, call the hook at every instruction, and never
-  // run fused bodies — the semantics the fast path must match byte-for-byte.
+  // Reference dispatch: ignore batching opt-ins and site tables, deliver every
+  // event as one virtual call per event, call the hook at every instruction,
+  // and never run fused bodies — the semantics the fast path must match
+  // byte-for-byte.
   // Used by tests/vm_fastpath_test.cc; keep off otherwise.
   bool reference_dispatch = false;
   // Caller-owned profile shard (src/obs/profiler.h): when set, the
@@ -102,6 +105,10 @@ struct RunStats {
   uint64_t block_enters = 0;
   uint64_t returns = 0;
   uint64_t thread_events = 0;
+  // Instructions retired: `steps` minus the op that raised an in-burst
+  // failure (a faulting op is charged to the step budget but never retires).
+  // Equals what a PerfCounter subscribed to every retired event counts.
+  uint64_t retired = 0;
 
   // --- dispatch-engine telemetry (DESIGN.md §9) -----------------------------
   // Counted per burst / per flush, never per instruction, so the fast path's
@@ -211,17 +218,32 @@ class Vm {
   ThreadId PickNext();
   void RaiseFailure(ThreadState& thread, FailureType type, InstrId instr,
                     const std::string& message);
+  // RaiseFailure for an executing op that faulted: the op was charged to the
+  // step budget but does not retire (RunStats::retired).
+  void RaiseFault(ThreadState& thread, FailureType type, InstrId instr,
+                  const std::string& message);
   void NotifyBlockEnter(ThreadState& thread);
+  // Whether entering the block with this profile_index is dispatched: always,
+  // unless block-enter delivery is site-filtered and it starts no PT.
+  bool NeedsBlockEnter(uint32_t profile_index) const {
+    return block_sites_ == nullptr || (block_sites_[profile_index] & kSitePtStart) != 0;
+  }
   std::vector<InstrId> StackTrace(const ThreadState& thread, InstrId failing) const;
 
   // --- subscription-masked, batched dispatch --------------------------------
   // Splits options_.observers into per-event lists (and immediate/batched
-  // halves for the two hot events); builds the hook-site bitmap.
+  // halves for the two hot events); picks the run's site table, if any.
   void BuildDispatch();
   // Delivers the buffered retired/mem-access runs. Must run before any
   // non-batched event or hook call so every observer sees events in
-  // execution order (see observer.h).
-  void FlushBatches();
+  // execution order (see observer.h). Inline because site filtering leaves
+  // the buffers empty at most of the block-boundary dispatches that call it.
+  void FlushBatches() {
+    if (!mem_batch_.empty() || !retired_batch_.empty()) {
+      DeliverBatches();
+    }
+  }
+  void DeliverBatches();
 
   // Dispatch helper for the non-batched ("immediate") events: flush the hot
   // buffers first, then fan out to the event's subscriber list.
@@ -251,6 +273,7 @@ class Vm {
   std::vector<ThreadId> core_occupant_;  // per core, for context-switch events
   RunResult result_;
   uint64_t access_seq_ = 0;
+  uint64_t unretired_steps_ = 0;  // faulting ops (RaiseFault)
   bool done_ = false;
 
   // Per-event subscriber lists (see BuildDispatch).
@@ -272,13 +295,22 @@ class Vm {
   ThreadId batch_tid_ = kNoThread;  // owner of the buffered retired run
   CoreId batch_core_ = 0;
 
-  // hook_sites_[id] != 0: the hook wants BeforeInstr/AfterInstr at `id`.
-  std::vector<uint8_t> hook_sites_;
-  bool hook_everywhere_ = false;  // reference mode or hook without site info
+  // The run's site table (SiteTable::instrs; null: none) and the flags of it
+  // in force: the hook bits when the hook supplied it, kSitePtStop when
+  // retired delivery is filtered, kSiteWatch when access delivery is.
+  const uint8_t* sites_ = nullptr;
+  uint8_t site_mask_ = 0;
+  // Access filtering (kSiteWatch in force): the sole batched access
+  // subscriber's live armed set.
+  const std::vector<Addr>* armed_ = nullptr;
+  // Block-enter filtering: SiteTable::blocks of the sole block-enter
+  // subscriber, which needs only its kSitePtStart blocks (null: unfiltered).
+  const uint8_t* block_sites_ = nullptr;
+  bool hook_everywhere_ = false;  // reference mode or hook without a table
 
   // Fused entry table by profile_index (empty: fusion disabled for this
   // run). Built in BuildDispatch from the DecodedModule's entries minus the
-  // per-run deopt exclusions (hook-site blocks).
+  // per-run deopt exclusions (blocks holding a site in force).
   std::vector<const FusedBlock*> fused_entry_;
 
   // Quantum-renewal channel between the fused executor and Run()'s scheduler

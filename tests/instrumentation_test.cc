@@ -55,11 +55,11 @@ merge:
   InstrumentationPlan plan = PlanInstrumentation(*p.ticfg, {load});
   const Function& f = p.module->function(0);
   // Tracking the load in `merge` must start at both predecessors.
-  EXPECT_TRUE(plan.ShouldStartAt(0, f.FindBlock("left")));
-  EXPECT_TRUE(plan.ShouldStartAt(0, f.FindBlock("right")));
-  EXPECT_FALSE(plan.ShouldStartAt(0, f.FindBlock("merge")));
+  EXPECT_TRUE(plan.pt_start_blocks.count({0, f.FindBlock("left")}));
+  EXPECT_TRUE(plan.pt_start_blocks.count({0, f.FindBlock("right")}));
+  EXPECT_FALSE(plan.pt_start_blocks.count({0, f.FindBlock("merge")}));
   // Tracing stops after the tracked statement.
-  EXPECT_TRUE(plan.ShouldStopAfter(load));
+  EXPECT_TRUE(plan.pt_stop_instrs.count(load));
 }
 
 TEST(InstrumentationTest, EntryBlockStatementStartsAtOwnBlock) {
@@ -74,7 +74,7 @@ entry:
   const InstrId assert_instr = FindInstr(*p.module, "main", Opcode::kAssert);
   InstrumentationPlan plan = PlanInstrumentation(*p.ticfg, {assert_instr});
   // The entry block has no predecessors: tracing starts at the block itself.
-  EXPECT_TRUE(plan.ShouldStartAt(0, 0));
+  EXPECT_TRUE(plan.pt_start_blocks.count({0, 0}));
 }
 
 TEST(InstrumentationTest, StrictDominatorElidesStartAndStop) {
@@ -96,8 +96,8 @@ entry:
   const InstrId add = FindInstr(*p.module, "main", Opcode::kBinOp);
   const InstrId assert_instr = FindInstr(*p.module, "main", Opcode::kAssert);
   InstrumentationPlan plan = PlanInstrumentation(*p.ticfg, {assert_instr, add});
-  EXPECT_FALSE(plan.ShouldStopAfter(add)) << "add sdoms assert: no stop in between";
-  EXPECT_TRUE(plan.ShouldStartAt(0, 0));
+  EXPECT_FALSE(plan.pt_stop_instrs.count(add)) << "add sdoms assert: no stop in between";
+  EXPECT_TRUE(plan.pt_start_blocks.count({0, 0}));
 }
 
 TEST(InstrumentationTest, NoStopInsideStartBlocks) {
@@ -125,10 +125,10 @@ sink:
   const InstrId load = FindInstr(*p.module, "main", Opcode::kLoad);
   InstrumentationPlan plan = PlanInstrumentation(*p.ticfg, {load, const_in_a});
   const Function& f = p.module->function(0);
-  ASSERT_TRUE(plan.ShouldStartAt(0, f.FindBlock("a")));
+  ASSERT_TRUE(plan.pt_start_blocks.count({0, f.FindBlock("a")}));
   // A stop after the const would kill the tracing that the start in `a`
   // provides for the load; the planner must elide it.
-  EXPECT_FALSE(plan.ShouldStopAfter(const_in_a));
+  EXPECT_FALSE(plan.pt_stop_instrs.count(const_in_a));
 }
 
 TEST(InstrumentationTest, SharedAccessesGetWatchpoints) {
@@ -148,9 +148,9 @@ entry:
   const InstrId store = FindInstr(*p.module, "main", Opcode::kStore);
   const InstrId assert_instr = FindInstr(*p.module, "main", Opcode::kAssert);
   InstrumentationPlan plan = PlanInstrumentation(*p.ticfg, {assert_instr, load, store});
-  EXPECT_TRUE(plan.ShouldWatch(load));
-  EXPECT_TRUE(plan.ShouldWatch(store));
-  EXPECT_FALSE(plan.ShouldWatch(assert_instr));
+  EXPECT_TRUE(plan.watch_instrs.count(load));
+  EXPECT_TRUE(plan.watch_instrs.count(store));
+  EXPECT_FALSE(plan.watch_instrs.count(assert_instr));
 }
 
 TEST(InstrumentationTest, GlobalAddressesResolvedStatically) {

@@ -33,6 +33,7 @@ void ExpectSameResult(const RunResult& got, const RunResult& want, const std::st
   EXPECT_EQ(got.failure.stack_trace, want.failure.stack_trace) << label;
   EXPECT_EQ(got.outputs, want.outputs) << label;
   EXPECT_EQ(got.stats.steps, want.stats.steps) << label;
+  EXPECT_EQ(got.stats.retired, want.stats.retired) << label;
   EXPECT_EQ(got.stats.mem_accesses, want.stats.mem_accesses) << label;
   EXPECT_EQ(got.stats.branches, want.stats.branches) << label;
   EXPECT_EQ(got.stats.context_switches, want.stats.context_switches) << label;
