@@ -331,6 +331,11 @@ struct InvariantCounters {
   // these by orders of magnitude, which no timing gate catches reliably.
   uint64_t client_retired_deliveries = 0;
   uint64_t client_mem_deliveries = 0;
+  // PT streams the server's sketch builds decoded (DESIGN.md §15). Builds
+  // lay out the reference run from its ingest-time summary, so with shadow
+  // mode off this is 0; a slide back to per-build decodes makes it
+  // builds x cores.
+  uint64_t sketch_pt_decodes = 0;
 };
 
 InvariantCounters MeasureInvariantCounters() {
@@ -351,6 +356,7 @@ InvariantCounters MeasureInvariantCounters() {
   counters.client_retired_deliveries =
       recorder.metrics().counter("engine.flushed_retired_events");
   counters.client_mem_deliveries = recorder.metrics().counter("engine.flushed_mem_events");
+  counters.sketch_pt_decodes = recorder.metrics().counter("stats.sketch_pt_decodes");
   return counters;
 }
 
@@ -456,6 +462,7 @@ std::vector<Gate> PerfSmokeGates() {
        GateKind::kExact},
       {"client_mem_deliveries", counter(&InvariantCounters::client_mem_deliveries),
        GateKind::kExact},
+      {"sketch_pt_decodes", counter(&InvariantCounters::sketch_pt_decodes), GateKind::kExact},
   };
 }
 

@@ -134,8 +134,8 @@ GistServer::TraceIngest GistServer::AddTrace(RunTrace trace) {
     ++failure_recurrences_;
     *ingest_.recurrences += 1;
     // Ingest-once summary (DESIGN.md §15): the executed-instruction bitset
-    // is all reference-run selection reads, so sketch builds never decode
-    // this trace again unless it becomes the reference.
+    // and per-thread positions are all reference-run selection and layout
+    // read, so sketch builds never decode this trace again.
     failing_summaries_.push_back(SummarizeFailingTrace(module_, traces_.size(), decoded));
   }
 

@@ -153,8 +153,9 @@ class GistServer {
   // an instruction outside the module are quarantined: they never reach the
   // statistics, the sketch, or the recurrence count, so one rotten trace
   // cannot poison an iteration's diagnosis. An accepted failing trace is
-  // also reduced to its executed-instruction bitset (DESIGN.md §15), which
-  // sketch builds use to pick the reference run without re-decoding.
+  // also reduced to its executed-instruction bitset and per-thread
+  // positions (DESIGN.md §15), which sketch builds use to pick and lay out
+  // the reference run without re-decoding.
   //
   // Refinement (§3.2.3): statements the watchpoints caught that the static
   // slice missed are *added to the slice* — subsequent plans track them with
@@ -228,7 +229,7 @@ class GistServer {
   InstrumentationPlan plan_;
   uint64_t plan_version_ = 0;
   std::vector<RunTrace> traces_;
-  // One executed-instruction summary per accepted failing trace, in
+  // One executed-set-and-positions summary per accepted failing trace, in
   // traces_ order (DESIGN.md §15).
   std::vector<FailingTraceSummary> failing_summaries_;
   BehaviorStats behavior_;

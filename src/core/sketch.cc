@@ -99,7 +99,53 @@ std::shared_ptr<const std::vector<Predictor>> GetOrExtractTracePredictors(
 FailingTraceSummary SummarizeFailingTrace(
     const Module& module, size_t trace_index,
     const std::vector<std::shared_ptr<const PtDecodeResult>>& decoded) {
-  return FailingTraceSummary{trace_index, ExecutedInstrBits(module, TraceViews(decoded))};
+  // Per thread: the next program-order position and the last position of
+  // each instruction it retired (-1: never). Threads are few, so a linear
+  // lookup per visit beats a map.
+  struct ThreadWalk {
+    ThreadId tid = kNoThread;
+    int64_t next = 0;
+    std::vector<int64_t> last;
+  };
+  const size_t num_instrs = module.num_instructions();
+  std::vector<ThreadWalk> threads;
+  for (const auto& result : decoded) {
+    ThreadWalk* walk = nullptr;
+    for (const PtVisit& visit : result->trace.visits) {
+      if (visit.first_index > visit.last_index) {
+        continue;  // truncated-away visit
+      }
+      if (walk == nullptr || walk->tid != visit.tid) {
+        auto it = std::find_if(threads.begin(), threads.end(),
+                               [&](const ThreadWalk& t) { return t.tid == visit.tid; });
+        if (it == threads.end()) {
+          it = threads.insert(threads.end(),
+                              ThreadWalk{visit.tid, 0, std::vector<int64_t>(num_instrs, -1)});
+        }
+        walk = &*it;
+      }
+      const auto& instrs = module.function(visit.function).block(visit.block).instructions();
+      const size_t end = std::min<size_t>(size_t{visit.last_index} + 1, instrs.size());
+      for (size_t i = visit.first_index; i < end; ++i) {
+        walk->last[instrs[i].id] = walk->next++;  // last occurrence wins
+      }
+    }
+  }
+  std::sort(threads.begin(), threads.end(),
+            [](const ThreadWalk& a, const ThreadWalk& b) { return a.tid < b.tid; });
+
+  FailingTraceSummary summary;
+  summary.trace_index = trace_index;
+  summary.executed.assign((num_instrs + 63) / 64, 0);
+  for (InstrId id = 0; id < num_instrs; ++id) {
+    for (const ThreadWalk& walk : threads) {
+      if (walk.last[id] >= 0) {
+        summary.executed[id / 64] |= uint64_t{1} << (id % 64);
+        summary.positions.push_back(ExecutedPosition{id, walk.tid, walk.last[id]});
+      }
+    }
+  }
+  return summary;
 }
 
 namespace {
@@ -175,7 +221,8 @@ Result<FailureSketch> BuildFailureSketch(const Module& module,
   // BehaviorStats the ranking is already aggregated and the failing traces
   // were summarized at ingest, so no stored trace is decoded here; in shadow
   // mode the batch path still runs and must agree with the incremental one
-  // (fingerprint and reference choice) or the build CHECK-fails.
+  // (fingerprint, reference choice and reference summary) or the build
+  // CHECK-fails.
   BehaviorStats batch(options.beta);
   std::vector<FailingTraceSummary> batch_summaries;
   const bool incremental = options.behavior != nullptr;
@@ -222,15 +269,12 @@ Result<FailureSketch> BuildFailureSketch(const Module& module,
                batch_summaries[*batch_chosen].trace_index == summary.trace_index)
         << "shadow mode: summary-based reference run (trace " << summary.trace_index
         << ") differs from the batch selection";
+    GIST_CHECK(batch_summaries[*batch_chosen] == summary)
+        << "shadow mode: ingest-time summary of reference trace " << summary.trace_index
+        << " differs from the batch one (executed set or positions)";
   }
   const PredictorStats& stats = incremental ? options.behavior->stats() : batch.stats();
   const RunTrace* reference = &traces[summary.trace_index];
-  // Only the reference run is decoded for layout. Its streams already
-  // decoded cleanly (ingest validation, or the batch pass above).
-  const auto reference_decoded = DecodeTrace(module, options, *reference, &pt_decodes);
-  if (!reference_decoded.has_value()) {
-    return Error("reference failing run no longer decodes");
-  }
 
   // --- Refinement -----------------------------------------------------------
   // (a) control flow: window statements that actually executed in the
@@ -256,28 +300,21 @@ Result<FailureSketch> BuildFailureSketch(const Module& module,
 
   // --- Layout ---------------------------------------------------------------
   // Per-(thread, statement) entries with per-thread order positions from the
-  // decoded visits and global anchors from the watchpoint total order.
+  // reference summary and global anchors from the watchpoint total order.
   std::map<std::pair<ThreadId, InstrId>, LayoutEntry> entries;
 
-  std::map<ThreadId, int64_t> thread_pos;
-  for (const auto& decode_result : *reference_decoded) {
-    const DecodedCoreTrace& trace = decode_result->trace;
-    for (const PtVisit& visit : trace.visits) {
-      if (visit.first_index > visit.last_index) {
-        continue;
-      }
-      const auto& instrs = module.function(visit.function).block(visit.block).instructions();
-      for (uint32_t i = visit.first_index; i <= visit.last_index && i < instrs.size(); ++i) {
-        const int64_t pos = thread_pos[visit.tid]++;
-        const InstrId id = instrs[i].id;
-        if (members.count(id) == 0) {
-          continue;
-        }
-        LayoutEntry& entry = entries[{visit.tid, id}];
-        entry.instr = id;
-        entry.tid = visit.tid;
-        entry.pos = pos;  // last occurrence wins
-      }
+  // Members ascend and the positions are sorted by instruction, so each
+  // search starts where the previous one stopped.
+  auto position = summary.positions.begin();
+  for (InstrId id : members) {
+    position = std::lower_bound(
+        position, summary.positions.end(), id,
+        [](const ExecutedPosition& entry, InstrId target) { return entry.instr < target; });
+    for (; position != summary.positions.end() && position->instr == id; ++position) {
+      LayoutEntry& entry = entries[{position->tid, id}];
+      entry.instr = id;
+      entry.tid = position->tid;
+      entry.pos = position->pos;
     }
   }
   for (const WatchEvent& event : reference->watch_events) {
@@ -351,11 +388,12 @@ Result<FailureSketch> BuildFailureSketch(const Module& module,
   sketch.title = options.title;
   sketch.failure_type = reference->failure.type;
   sketch.failing_instr = reference->failure.failing_instr;
-  sketch.best_branch = stats.BestBranch();
-  sketch.best_value = stats.BestValue();
-  sketch.best_value_range = stats.BestValueRange();
-  sketch.best_concurrency = stats.BestConcurrency();
-  sketch.best_atomicity = stats.BestAtomicity();
+  const PredictorStats::FamilyLeaders leaders = stats.Leaders();
+  sketch.best_branch = leaders.branch;
+  sketch.best_value = leaders.value;
+  sketch.best_value_range = leaders.value_range;
+  sketch.best_concurrency = leaders.concurrency;
+  sketch.best_atomicity = leaders.atomicity;
   sketch.success_order = stats.BestSuccessOrderPair();
   sketch.failing_runs_used = stats.failing_runs();
   sketch.successful_runs_used = stats.successful_runs();

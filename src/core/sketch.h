@@ -9,9 +9,10 @@
 // Construction = slice refinement + predictor statistics:
 //   1. pick the reference failing run — the one whose executed-instruction
 //      bitset (kept per failing trace at ingest, DESIGN.md §15) covers the
-//      most of the window — and decode only its PT buffers; its bitset says
-//      which window statements actually executed (removes never-executed
-//      slice statements);
+//      most of the window; its bitset says which window statements actually
+//      executed (removes never-executed slice statements), and its recorded
+//      per-thread positions give their program order, so no PT stream is
+//      decoded again;
 //   2. add watchpoint-discovered statements that the alias-analysis-free
 //      static slice missed (§3.2.3);
 //   3. order statements by the watchpoint total order, interpolating
@@ -73,8 +74,9 @@ struct FailureSketch {
   // DESIGN.md §9).
   uint32_t predictors_evaluated = 0;
   // PT streams this build decoded (every core of each trace it read; cache
-  // hits count too). Flight-recorder input, DESIGN.md §15: with streaming
-  // statistics and shadow mode off, only the reference run is decoded.
+  // hits count too). Flight-recorder input, DESIGN.md §15: only the batch
+  // path decodes, once per core of every trace. With streaming statistics
+  // and shadow mode off a build decodes nothing, so this is 0.
   uint64_t pt_decodes = 0;
   // Traces excluded from this sketch because their PT streams would not
   // decode (server-side quarantine plus any undecodable trace handed
@@ -89,14 +91,36 @@ struct FailureSketch {
   std::vector<InstrId> SharedAccessOrder(const Module& module) const;
 };
 
-// What the server keeps from one accepted failing trace for reference-run
-// selection (DESIGN.md §15): the set of instructions its PT streams cover.
+// The last per-thread program-order position at which one thread executed
+// one instruction. A thread's positions count every instruction its visits
+// retired, across cores in core order. Per-core traces carry no relative
+// order, so positions only order one thread's statements; the watchpoint
+// total order places them across threads.
+struct ExecutedPosition {
+  InstrId instr = kNoInstr;
+  ThreadId tid = kNoThread;
+  int64_t pos = 0;
+
+  bool operator==(const ExecutedPosition&) const = default;
+};
+
+// What the server keeps from one accepted failing trace (DESIGN.md §15):
+// the set of instructions its PT streams cover, which reference-run
+// selection reads, and the last position of every executed (instruction,
+// thread) pair, which the sketch layout reads if the trace becomes the
+// reference. Together they are everything a build needs from the streams.
 struct FailingTraceSummary {
   size_t trace_index = 0;  // position of the trace in the list it summarizes
   InstrBitset executed;
+  // One entry per executed pair, sorted by (instr, tid): grows with the
+  // pairs the trace executed, not with module size.
+  std::vector<ExecutedPosition> positions;
+
+  bool operator==(const FailingTraceSummary&) const = default;
 };
 
-// Summarizes one trace from its decoded PT streams.
+// Summarizes one trace from its decoded PT streams in one walk over their
+// visits.
 FailingTraceSummary SummarizeFailingTrace(
     const Module& module, size_t trace_index,
     const std::vector<std::shared_ptr<const PtDecodeResult>>& decoded);
@@ -111,27 +135,29 @@ struct SketchOptions {
   // Uploads the server already quarantined before `traces`; carried into
   // FailureSketch::quarantined_traces so the sketch reports the full count.
   uint64_t quarantined = 0;
-  // Optional artifact store (DESIGN.md §11): PT decodes go through it, so
-  // the reference run's decode hits the entry ingest made. `module_hash`
-  // must be the content hash of the module passed to BuildFailureSketch;
-  // ignored when `store` is null.
+  // Optional artifact store (DESIGN.md §11): the batch path's PT decodes and
+  // predictor extractions go through it, so they hit the entries ingest
+  // made. `module_hash` must be the content hash of the module passed to
+  // BuildFailureSketch; ignored when `store` is null.
   ArtifactStore* store = nullptr;
   ContentHash module_hash;
   // Streaming statistics maintained by the trace-ingest path (DESIGN.md
   // §14). When set, the sketch ranks from this aggregation instead of
-  // re-extracting every stored trace's predictors, picks the reference run
-  // from `failing_summaries` (which must then be set), and decodes only the
-  // reference trace — the caller guarantees every trace in `traces` already
-  // passed ingest validation, which GistServer does. Null keeps the batch
-  // path: decode every trace, aggregate, and summarize the failing ones.
+  // re-extracting every stored trace's predictors, and picks and lays out
+  // the reference run from `failing_summaries` (which must then be set), so
+  // it decodes nothing — the caller guarantees every trace in `traces`
+  // already passed ingest validation, which GistServer does. Null keeps the
+  // batch path: decode every trace once, aggregate, and summarize the
+  // failing ones.
   const BehaviorStats* behavior = nullptr;
   // One summary per failing trace of `traces`, in trace order (DESIGN.md
   // §15); read only with `behavior`.
   const std::vector<FailingTraceSummary>* failing_summaries = nullptr;
   // Shadow mode: with `behavior` set, ALSO run the batch path and CHECK-fail
-  // unless both aggregations fingerprint byte-identically and both pick the
-  // same reference trace. The incremental path's correctness gate; tests and
-  // GIST_STATS_SHADOW=1 turn it on.
+  // unless both aggregations fingerprint byte-identically, both pick the
+  // same reference trace, and its batch summary equals the ingest-time one
+  // (executed set and positions). The incremental path's correctness gate;
+  // tests and GIST_STATS_SHADOW=1 turn it on.
   bool shadow_check = false;
 };
 

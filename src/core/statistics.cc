@@ -33,20 +33,23 @@ void PredictorStats::RecordRun(const std::vector<Predictor>& predictors, bool fa
   }
 }
 
+ScoredPredictor PredictorStats::Score(const Predictor& predictor, const Counts& counts) const {
+  ScoredPredictor entry;
+  entry.predictor = predictor;
+  entry.failing_with = counts.failing;
+  entry.successful_with = counts.successful;
+  const uint32_t with = counts.failing + counts.successful;
+  entry.precision = with == 0 ? 0.0 : static_cast<double>(counts.failing) / with;
+  entry.recall = failing_runs_ == 0 ? 0.0 : static_cast<double>(counts.failing) / failing_runs_;
+  entry.f_measure = FMeasure(entry.precision, entry.recall, beta_);
+  return entry;
+}
+
 std::vector<ScoredPredictor> PredictorStats::Ranked() const {
   std::vector<ScoredPredictor> scored;
   scored.reserve(counts_.size());
   for (const auto& [predictor, counts] : counts_) {
-    ScoredPredictor entry;
-    entry.predictor = predictor;
-    entry.failing_with = counts.failing;
-    entry.successful_with = counts.successful;
-    const uint32_t with = counts.failing + counts.successful;
-    entry.precision = with == 0 ? 0.0 : static_cast<double>(counts.failing) / with;
-    entry.recall =
-        failing_runs_ == 0 ? 0.0 : static_cast<double>(counts.failing) / failing_runs_;
-    entry.f_measure = FMeasure(entry.precision, entry.recall, beta_);
-    scored.push_back(entry);
+    scored.push_back(Score(predictor, counts));
   }
   std::sort(scored.begin(), scored.end(), [](const ScoredPredictor& a, const ScoredPredictor& b) {
     if (a.f_measure != b.f_measure) {
@@ -57,36 +60,34 @@ std::vector<ScoredPredictor> PredictorStats::Ranked() const {
   return scored;
 }
 
-std::optional<ScoredPredictor> PredictorStats::BestMatching(
-    bool (*matches)(PredictorKind)) const {
-  std::optional<ScoredPredictor> best;
-  for (const ScoredPredictor& entry : Ranked()) {
-    if (matches(entry.predictor.kind)) {
+PredictorStats::FamilyLeaders PredictorStats::Leaders() const {
+  // counts_ iterates in ascending predictor order, so keeping the first
+  // strictly highest F per family breaks ties exactly as Ranked() sorts.
+  auto offer = [](std::optional<ScoredPredictor>& best, const ScoredPredictor& entry) {
+    if (!best.has_value() || entry.f_measure > best->f_measure) {
       best = entry;
-      break;  // Ranked() is sorted by decreasing F
+    }
+  };
+  FamilyLeaders leaders;
+  for (const auto& [predictor, counts] : counts_) {
+    const ScoredPredictor entry = Score(predictor, counts);
+    if (predictor.kind == PredictorKind::kBranch) {
+      offer(leaders.branch, entry);
+    }
+    if (predictor.kind == PredictorKind::kValue) {
+      offer(leaders.value, entry);
+    }
+    if (predictor.kind == PredictorKind::kValueSign) {
+      offer(leaders.value_range, entry);
+    }
+    if (IsConcurrencyPredictor(predictor.kind)) {
+      offer(leaders.concurrency, entry);
+    }
+    if (IsAtomicityPattern(predictor.kind)) {
+      offer(leaders.atomicity, entry);
     }
   }
-  return best;
-}
-
-std::optional<ScoredPredictor> PredictorStats::BestBranch() const {
-  return BestMatching([](PredictorKind kind) { return kind == PredictorKind::kBranch; });
-}
-
-std::optional<ScoredPredictor> PredictorStats::BestValue() const {
-  return BestMatching([](PredictorKind kind) { return kind == PredictorKind::kValue; });
-}
-
-std::optional<ScoredPredictor> PredictorStats::BestValueRange() const {
-  return BestMatching([](PredictorKind kind) { return kind == PredictorKind::kValueSign; });
-}
-
-std::optional<ScoredPredictor> PredictorStats::BestConcurrency() const {
-  return BestMatching(&IsConcurrencyPredictor);
-}
-
-std::optional<ScoredPredictor> PredictorStats::BestAtomicity() const {
-  return BestMatching(&IsAtomicityPattern);
+  return leaders;
 }
 
 bool BehaviorStats::RecordRun(uint64_t run_id, const std::vector<Predictor>& predictors,

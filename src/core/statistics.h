@@ -53,7 +53,7 @@ class PredictorStats {
   uint32_t failing_runs() const { return failing_runs_; }
   uint32_t successful_runs() const { return successful_runs_; }
   uint64_t lost_runs() const { return lost_runs_; }
-  // Distinct predictors observed — each is scored once per Ranked() call, so
+  // Distinct predictors observed — each is scored once per Leaders() call, so
   // this is also the per-sketch predictor-evaluation count (DESIGN.md §9).
   size_t predictor_count() const { return counts_.size(); }
 
@@ -61,15 +61,20 @@ class PredictorStats {
   // deterministically by predictor key).
   std::vector<ScoredPredictor> Ranked() const;
 
-  // Highest-F predictor of the given family, if any was observed: the sketch
-  // shows the best branch, value, and concurrency predictor (Fig. 1/7/8's
-  // dotted boxes).
-  std::optional<ScoredPredictor> BestBranch() const;
-  std::optional<ScoredPredictor> BestValue() const;
-  std::optional<ScoredPredictor> BestValueRange() const;
-  std::optional<ScoredPredictor> BestConcurrency() const;
-  // Highest-F Fig. 5 atomicity-violation pattern (drives fix synthesis).
-  std::optional<ScoredPredictor> BestAtomicity() const;
+  // Highest-F predictor of each family, absent where none was observed: the
+  // sketch shows the best branch, value, and concurrency predictor (Fig.
+  // 1/7/8's dotted boxes).
+  struct FamilyLeaders {
+    std::optional<ScoredPredictor> branch;
+    std::optional<ScoredPredictor> value;
+    std::optional<ScoredPredictor> value_range;
+    std::optional<ScoredPredictor> concurrency;
+    // Highest-F Fig. 5 atomicity-violation pattern (drives fix synthesis).
+    std::optional<ScoredPredictor> atomicity;
+  };
+  // All five leaders from one scoring pass; each is the predictor a scan of
+  // Ranked() would meet first in its family (ties: lowest predictor key).
+  FamilyLeaders Leaders() const;
 
   // Order-violation fixes need the *correct* order: the pair pattern (WR/RW/
   // WW) that correlates best with SUCCESS — its (a, b) order is the one a fix
@@ -83,7 +88,7 @@ class PredictorStats {
     uint32_t successful = 0;
   };
 
-  std::optional<ScoredPredictor> BestMatching(bool (*matches)(PredictorKind)) const;
+  ScoredPredictor Score(const Predictor& predictor, const Counts& counts) const;
 
   double beta_;
   uint32_t failing_runs_ = 0;

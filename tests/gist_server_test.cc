@@ -159,25 +159,48 @@ TEST_F(GistServerTest, ReportResetsState) {
   EXPECT_FALSE(server.BuildSketch().ok());
 }
 
-TEST_F(GistServerTest, SketchBuildDecodesOnlyTheReferenceRun) {
+// Fills a two-core server with three failing traces.
+void AddThreeFailingRuns(const Module& module, const GistOptions& options, GistServer* server) {
+  for (uint64_t run_id = 1; run_id <= 3; ++run_id) {
+    MonitoredRun run = RunMonitored(module, server->plan(), Workload{}, options, run_id);
+    ASSERT_FALSE(run.result.ok());
+    ASSERT_EQ(run.trace.pt_buffers.size(), 2u);
+    ASSERT_EQ(server->AddTrace(std::move(run.trace)), GistServer::TraceIngest::kAccepted);
+  }
+  ASSERT_EQ(server->failure_recurrences(), 3u);
+}
+
+TEST_F(GistServerTest, SketchBuildDecodesNothing) {
   GistOptions options;
   options.num_cores = 2;
   GistServer server(*module_, options);
   server.ReportFailure(report_);
-  for (uint64_t run_id = 1; run_id <= 3; ++run_id) {
-    MonitoredRun run = RunMonitored(*module_, server.plan(), Workload{}, options, run_id);
-    ASSERT_FALSE(run.result.ok());
-    ASSERT_EQ(run.trace.pt_buffers.size(), 2u);
-    ASSERT_EQ(server.AddTrace(std::move(run.trace)), GistServer::TraceIngest::kAccepted);
-  }
-  ASSERT_EQ(server.failure_recurrences(), 3u);
+  ASSERT_NO_FATAL_FAILURE(AddThreeFailingRuns(*module_, options, &server));
   for (uint64_t build = 1; build <= 2; ++build) {
-    ASSERT_TRUE(server.BuildSketch().ok());
-    // One decode per core of the reference run, however many failing
-    // traces are stored.
-    EXPECT_EQ(server.metrics().counter("stats.sketch_pt_decodes"), 2 * build);
+    Result<FailureSketch> sketch = server.BuildSketch();
+    ASSERT_TRUE(sketch.ok());
+    // The reference run's layout comes from its ingest-time summary.
+    EXPECT_EQ(sketch->pt_decodes, 0u);
+    EXPECT_EQ(server.metrics().counter("stats.sketch_pt_decodes"), 0u);
   }
   EXPECT_EQ(server.metrics().counter("stats.sketch_builds"), 2u);
+}
+
+TEST_F(GistServerTest, ShadowSketchBuildDecodesOnlyTheBatchPass) {
+  GistOptions options;
+  options.num_cores = 2;
+  options.stats_shadow = true;
+  GistServer server(*module_, options);
+  server.ReportFailure(report_);
+  ASSERT_NO_FATAL_FAILURE(AddThreeFailingRuns(*module_, options, &server));
+  for (uint64_t build = 1; build <= 2; ++build) {
+    Result<FailureSketch> sketch = server.BuildSketch();
+    ASSERT_TRUE(sketch.ok());
+    // The batch recompute decodes every core of every stored trace once;
+    // the layout adds nothing on top.
+    EXPECT_EQ(sketch->pt_decodes, 3u * 2u);
+    EXPECT_EQ(server.metrics().counter("stats.sketch_pt_decodes"), 3u * 2u * build);
+  }
 }
 
 TEST_F(GistServerTest, WatchEventWithUnknownInstructionIsQuarantined) {

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <vector>
+
 #include "src/core/statistics.h"
 
 namespace gist {
@@ -93,22 +97,93 @@ TEST(PredictorStatsTest, BestPerFamily) {
   const Predictor pattern = PatternPredictor(PredictorKind::kWW, 3, 4);
   stats.RecordRun({branch, value, pattern}, true);
   stats.RecordRun({branch}, false);
-  ASSERT_TRUE(stats.BestBranch().has_value());
-  ASSERT_TRUE(stats.BestValue().has_value());
-  ASSERT_TRUE(stats.BestConcurrency().has_value());
-  EXPECT_EQ(stats.BestBranch()->predictor, branch);
-  EXPECT_EQ(stats.BestValue()->predictor, value);
-  EXPECT_EQ(stats.BestConcurrency()->predictor, pattern);
+  const PredictorStats::FamilyLeaders leaders = stats.Leaders();
+  ASSERT_TRUE(leaders.branch.has_value());
+  ASSERT_TRUE(leaders.value.has_value());
+  ASSERT_TRUE(leaders.concurrency.has_value());
+  EXPECT_EQ(leaders.branch->predictor, branch);
+  EXPECT_EQ(leaders.value->predictor, value);
+  EXPECT_EQ(leaders.concurrency->predictor, pattern);
   // The branch also appears in a successful run: lower precision.
-  EXPECT_LT(stats.BestBranch()->f_measure, stats.BestValue()->f_measure);
+  EXPECT_LT(leaders.branch->f_measure, leaders.value->f_measure);
 }
 
 TEST(PredictorStatsTest, NoFamilyObserved) {
   PredictorStats stats;
   stats.RecordRun({BranchPredictor(1, false)}, true);
-  EXPECT_TRUE(stats.BestBranch().has_value());
-  EXPECT_FALSE(stats.BestValue().has_value());
-  EXPECT_FALSE(stats.BestConcurrency().has_value());
+  const PredictorStats::FamilyLeaders leaders = stats.Leaders();
+  EXPECT_TRUE(leaders.branch.has_value());
+  EXPECT_FALSE(leaders.value.has_value());
+  EXPECT_FALSE(leaders.concurrency.has_value());
+}
+
+// The first entry of each family in Ranked() order: the per-family scan the
+// one-pass Leaders() replaces.
+std::optional<ScoredPredictor> FirstRanked(const PredictorStats& stats,
+                                           bool (*matches)(PredictorKind)) {
+  for (const ScoredPredictor& entry : stats.Ranked()) {
+    if (matches(entry.predictor.kind)) {
+      return entry;
+    }
+  }
+  return std::nullopt;
+}
+
+void ExpectSameScored(const std::optional<ScoredPredictor>& got,
+                      const std::optional<ScoredPredictor>& want) {
+  ASSERT_EQ(got.has_value(), want.has_value());
+  if (want.has_value()) {
+    EXPECT_EQ(got->predictor, want->predictor);
+    EXPECT_EQ(got->failing_with, want->failing_with);
+    EXPECT_EQ(got->successful_with, want->successful_with);
+    EXPECT_EQ(got->f_measure, want->f_measure);
+  }
+}
+
+TEST(PredictorStatsTest, LeadersMatchRankedScanIncludingTies) {
+  // Several predictors per family, many with equal F: the leader must be the
+  // lowest predictor key among the highest F, as the sorted ranking puts it.
+  PredictorStats stats;
+  const std::vector<Predictor> all = {
+      BranchPredictor(9, true),  BranchPredictor(3, false), BranchPredictor(3, true),
+      ValuePredictor(7, 1),      ValuePredictor(2, 5),      ValuePredictor(2, -4),
+      PatternPredictor(PredictorKind::kWR, 8, 1),
+      PatternPredictor(PredictorKind::kWW, 4, 6),
+      PatternPredictor(PredictorKind::kRWR, 5, 2, 5),
+      PatternPredictor(PredictorKind::kRWR, 1, 2, 1),
+      PatternPredictor(PredictorKind::kWRW, 1, 9, 1),
+  };
+  Predictor sign;
+  sign.kind = PredictorKind::kValueSign;
+  sign.a = 4;
+  sign.value = -1;
+  for (int round = 0; round < 3; ++round) {
+    stats.RecordRun(all, true);
+    stats.RecordRun({all[0], all[2], all[3], all[6], sign}, round != 1);
+    stats.RecordRun({all[1], all[4], all[9]}, false);
+    const PredictorStats::FamilyLeaders leaders = stats.Leaders();
+    ExpectSameScored(leaders.branch, FirstRanked(stats, [](PredictorKind kind) {
+                       return kind == PredictorKind::kBranch;
+                     }));
+    ExpectSameScored(leaders.value, FirstRanked(stats, [](PredictorKind kind) {
+                       return kind == PredictorKind::kValue;
+                     }));
+    ExpectSameScored(leaders.value_range, FirstRanked(stats, [](PredictorKind kind) {
+                       return kind == PredictorKind::kValueSign;
+                     }));
+    ExpectSameScored(leaders.concurrency, FirstRanked(stats, &IsConcurrencyPredictor));
+    ExpectSameScored(leaders.atomicity, FirstRanked(stats, &IsAtomicityPattern));
+  }
+  // Ties did occur: B(9, taken) and B(3, taken) share every run, so they
+  // share the leader's F and the lower key must win.
+  const std::vector<ScoredPredictor> ranked = stats.Ranked();
+  EXPECT_EQ(std::count_if(ranked.begin(), ranked.end(),
+                          [&](const ScoredPredictor& entry) {
+                            return entry.predictor.kind == PredictorKind::kBranch &&
+                                   entry.f_measure == stats.Leaders().branch->f_measure;
+                          }),
+            2);
+  EXPECT_EQ(stats.Leaders().branch->predictor, all[2]);
 }
 
 TEST(PredictorStatsTest, RankingDeterministicOnTies) {
