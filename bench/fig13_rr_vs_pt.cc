@@ -7,6 +7,7 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
+#include "src/hw/perf_model.h"
 #include "src/pt/tracer.h"
 #include "src/replay/recorder.h"
 #include "src/support/logging.h"
@@ -77,12 +78,11 @@ int Main() {
 
     // Full hardware PT tracing (always on, never toggled).
     PtTracer tracer(4, kDefaultPtBufferBytes, /*always_on=*/true);
-    PerfCounter perf;
     VmOptions vm_options;
     vm_options.max_steps = 10'000'000;
-    vm_options.observers = {&tracer, &perf};
-    Vm(app->module(), workload, vm_options).Run();
-    const double pt = PtFullTraceOverheadPercent(model, perf.instructions(),
+    vm_options.observers = {&tracer};
+    const RunStats stats = Vm(app->module(), workload, vm_options).Run().stats;
+    const double pt = PtFullTraceOverheadPercent(model, stats.retired,
                                                  tracer.total_bytes_generated());
 
     // Full software record/replay.

@@ -354,8 +354,8 @@ InvariantCounters MeasureInvariantCounters() {
   counters.campaign_journal_bytes = campaign.JournalJson().size();
   counters.fused_retired = recorder.metrics().counter("engine.fused_retired");
   counters.client_retired_deliveries =
-      recorder.metrics().counter("engine.flushed_retired_events");
-  counters.client_mem_deliveries = recorder.metrics().counter("engine.flushed_mem_events");
+      recorder.metrics().counter("engine.retired_deliveries");
+  counters.client_mem_deliveries = recorder.metrics().counter("engine.mem_deliveries");
   counters.sketch_pt_decodes = recorder.metrics().counter("stats.sketch_pt_decodes");
   return counters;
 }

@@ -50,21 +50,19 @@ class ClientRuntime : public ExecutionObserver, public InstrumentationHook {
   RunTrace TakeTrace(uint64_t run_id, const RunResult& result);
 
   // --- ExecutionObserver ----------------------------------------------------
-  // Everything except thread lifecycle. Batched, site-filtered delivery is
-  // exact here: the VM buffers a retired event only at a PT-stop site and
-  // flushes it (and with it the stop toggle) before every control-flow event
-  // the tracer sees — stop sites can be br/call/ret, where no hook fires. An
-  // access reaches the runtime at a watch site, delivered at once after
-  // everything buffered because it may arm its address, or at an armed
-  // address; every other access is a no-op here, and the armed set changes
-  // only in those deliveries and in hook calls, which flush first. So the PT
-  // byte streams and watchpoint logs are identical to unbatched delivery of
-  // every event (reference dispatch).
+  // Everything except thread lifecycle. Site-filtered delivery is exact
+  // here: the VM delivers a retired event only at a PT-stop site (stop sites
+  // can be br/call/ret, where no hook fires), in its place among the
+  // control-flow events the tracer sees. An access reaches the runtime at a
+  // watch site, where it may arm its address, or at an armed address; every
+  // other access is a no-op here, and the armed set changes only in those
+  // deliveries and in hook calls. Every event arrives at once and in
+  // execution order, so the PT byte streams and watchpoint logs are
+  // identical to delivery of every event (reference dispatch).
   uint32_t SubscribedEvents() const override {
     return kEvContextSwitch | kEvBlockEnter | kEvBranch | kEvMemAccess | kEvReturn |
            kEvInstrRetired;
   }
-  bool AcceptsEventBatches() const override { return true; }
   // The plan's compiled sites, for the VM's event filter and hook sites
   // (overrides both ExecutionObserver::Sites and InstrumentationHook::Sites).
   const SiteTable* Sites() const override { return &sites_; }

@@ -243,8 +243,7 @@ RunObsSample SampleObs(const ClientRuntime& runtime) {
 }  // namespace
 
 RunMetricsPublisher::RunMetricsPublisher(MetricsRegistry* metrics)
-    : metrics_(metrics),
-      vm_retired_(metrics->CounterSlot("vm.instructions_retired")),
+    : vm_retired_(metrics->CounterSlot("vm.instructions_retired")),
       vm_mem_accesses_(metrics->CounterSlot("vm.mem_accesses")),
       vm_branches_(metrics->CounterSlot("vm.branches")),
       vm_context_switches_(metrics->CounterSlot("vm.context_switches")),
@@ -254,11 +253,9 @@ RunMetricsPublisher::RunMetricsPublisher(MetricsRegistry* metrics)
       vm_thread_events_(metrics->CounterSlot("vm.thread_events")),
       vm_run_steps_(metrics->HistogramSlot("vm.run_steps")),
       engine_bursts_(metrics->CounterSlot("engine.bursts")),
-      engine_batch_deliveries_(metrics->CounterSlot("engine.batch_deliveries")),
-      engine_flushed_retired_(metrics->CounterSlot("engine.flushed_retired_events")),
-      engine_flushed_mem_(metrics->CounterSlot("engine.flushed_mem_events")),
+      engine_retired_deliveries_(metrics->CounterSlot("engine.retired_deliveries")),
+      engine_mem_deliveries_(metrics->CounterSlot("engine.mem_deliveries")),
       engine_dispatched_(metrics->CounterSlot("engine.dispatched_events")),
-      engine_flush_size_(metrics->HistogramSlot("engine.flush_size")),
       engine_fused_chains_(metrics->CounterSlot("engine.fused_chains")),
       engine_fused_blocks_(metrics->CounterSlot("engine.fused_blocks")),
       engine_fused_retired_(metrics->CounterSlot("engine.fused_retired")),
@@ -283,17 +280,12 @@ void RunMetricsPublisher::PublishVm(const RunStats& stats) {
   *vm_thread_events_ += stats.thread_events;
   vm_run_steps_->Observe(stats.steps);
   *engine_bursts_ += stats.bursts;
-  *engine_batch_deliveries_ += stats.batch_deliveries;
-  *engine_flushed_retired_ += stats.flushed_retired_events;
-  *engine_flushed_mem_ += stats.flushed_mem_events;
+  *engine_retired_deliveries_ += stats.retired_deliveries;
+  *engine_mem_deliveries_ += stats.mem_deliveries;
   *engine_dispatched_ += stats.dispatched_events;
   *engine_fused_chains_ += stats.fused_chains;
   *engine_fused_blocks_ += stats.fused_blocks;
   *engine_fused_retired_ += stats.fused_retired;
-  // Same fold as MetricsRegistry::MergeBuckets, straight into the slot.
-  metrics_->MergeBuckets("engine.flush_size", stats.flush_size_log2,
-                         RunStats::kFlushSizeBuckets, stats.batch_deliveries,
-                         stats.flushed_retired_events + stats.flushed_mem_events);
 }
 
 void RunMetricsPublisher::Publish(const MonitoredRun& run) {
@@ -354,6 +346,7 @@ MonitoredRun RunMonitored(const Module& module, const InstrumentationPlan& plan,
   vm_options.max_steps = max_steps;
   vm_options.observers = {&runtime};
   vm_options.hook = &runtime;
+  vm_options.reference_dispatch = options.tier == ExecTier::kReference;
   if (options.collect_profile) {
     vm_options.profile = &run.profile;
   }

@@ -285,7 +285,6 @@ class RunMetricsPublisher {
   void Publish(const MonitoredRun& run);
 
  private:
-  MetricsRegistry* metrics_;
   // "vm." / "engine." slots.
   uint64_t* vm_retired_;
   uint64_t* vm_mem_accesses_;
@@ -297,11 +296,9 @@ class RunMetricsPublisher {
   uint64_t* vm_thread_events_;
   Histogram* vm_run_steps_;
   uint64_t* engine_bursts_;
-  uint64_t* engine_batch_deliveries_;
-  uint64_t* engine_flushed_retired_;
-  uint64_t* engine_flushed_mem_;
+  uint64_t* engine_retired_deliveries_;
+  uint64_t* engine_mem_deliveries_;
   uint64_t* engine_dispatched_;
-  Histogram* engine_flush_size_;
   uint64_t* engine_fused_chains_;
   uint64_t* engine_fused_blocks_;
   uint64_t* engine_fused_retired_;

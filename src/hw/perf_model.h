@@ -25,8 +25,6 @@
 
 #include <cstdint>
 
-#include "src/vm/observer.h"
-
 namespace gist {
 
 struct CostModel {
@@ -39,37 +37,6 @@ struct CostModel {
   double cycles_per_rr_mem = 30.0;        // record/replay per memory event
   double cycles_per_swpt_branch = 150.0;  // software PT callback per branch
   double cycles_per_swpt_instr = 2.0;     // software PT per-instruction drag
-};
-
-// Counts the baseline activity of one run (an ExecutionObserver so the same
-// run that produces traces also yields its denominator).
-class PerfCounter : public ExecutionObserver {
- public:
-  // Pure event counting: order-insensitive, so batched delivery is exact and
-  // a buffered run of N events collapses into one addition.
-  uint32_t SubscribedEvents() const override {
-    return kEvInstrRetired | kEvBranch | kEvMemAccess;
-  }
-  bool AcceptsEventBatches() const override { return true; }
-  void OnInstrRetiredBatch(ThreadId, CoreId, const InstrId*, size_t count) override {
-    instructions_ += count;
-  }
-  void OnMemAccessBatch(const MemAccessEvent*, size_t count) override {
-    mem_accesses_ += count;
-  }
-
-  void OnInstrRetired(ThreadId, CoreId, InstrId) override { ++instructions_; }
-  void OnBranch(ThreadId, CoreId, InstrId, bool) override { ++branches_; }
-  void OnMemAccess(const MemAccessEvent&) override { ++mem_accesses_; }
-
-  uint64_t instructions() const { return instructions_; }
-  uint64_t branches() const { return branches_; }
-  uint64_t mem_accesses() const { return mem_accesses_; }
-
- private:
-  uint64_t instructions_ = 0;
-  uint64_t branches_ = 0;
-  uint64_t mem_accesses_ = 0;
 };
 
 // Activity of the tracing mechanisms during one run.

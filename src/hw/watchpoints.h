@@ -86,18 +86,9 @@ class WatchpointUnit : public ExecutionObserver {
 
   // --- ExecutionObserver ----------------------------------------------------
   // Debug registers only see data accesses; trap order is carried by the
-  // events' `seq` fields, so batched delivery preserves the log exactly.
+  // events' `seq` fields.
   uint32_t SubscribedEvents() const override { return kEvMemAccess; }
-  bool AcceptsEventBatches() const override { return true; }
   void OnMemAccess(const MemAccessEvent& event) override;
-  void OnMemAccessBatch(const MemAccessEvent* events, size_t count) override {
-    if (armed_.empty()) {
-      return;  // nothing armed: the whole run of accesses cannot trap
-    }
-    for (size_t i = 0; i < count; ++i) {
-      OnMemAccess(events[i]);
-    }
-  }
 
  private:
   struct Slot {

@@ -70,20 +70,6 @@ void MetricsRegistry::Observe(std::string_view name, uint64_t value) {
   it->second.Observe(value);
 }
 
-void MetricsRegistry::MergeBuckets(std::string_view name, const uint32_t* buckets,
-                                   size_t bucket_count, uint64_t count, uint64_t sum) {
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    it = histograms_.emplace(std::string(name), Histogram{}).first;
-  }
-  Histogram& hist = it->second;
-  for (size_t i = 0; i < bucket_count; ++i) {
-    hist.buckets[std::min<size_t>(i, Histogram::kBuckets - 1)] += buckets[i];
-  }
-  hist.count += count;
-  hist.sum += sum;
-}
-
 void MetricsRegistry::Merge(const MetricsRegistry& other) {
   for (const auto& [name, value] : other.counters_) {
     Add(name, value);

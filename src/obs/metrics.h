@@ -48,11 +48,6 @@ class MetricsRegistry {
   void SetMax(std::string_view name, int64_t value);
   // Histogram observation.
   void Observe(std::string_view name, uint64_t value);
-  // Folds a pre-bucketed shard (e.g. RunStats' flush-size array, which uses
-  // the same bucket definition) into the named histogram. Buckets past
-  // Histogram::kBuckets-1 clamp into the overflow bucket.
-  void MergeBuckets(std::string_view name, const uint32_t* buckets, size_t bucket_count,
-                    uint64_t count, uint64_t sum);
 
   // Merges another registry: counters and histograms add; gauges take the
   // other side's value (the caller merges shards in run-index order, so
@@ -79,7 +74,7 @@ class MetricsRegistry {
   // Deterministic snapshot: sorted keys, integers only, stable layout.
   // `exclude_prefix` drops every metric whose name starts with it — the
   // determinism tests use it to compare fast-path and reference-dispatch
-  // fleets minus the engine-internal ("engine.") batching counters.
+  // fleets minus the engine-internal ("engine.") dispatch counters.
   std::string ToJson(std::string_view exclude_prefix = {}) const;
 
  private:

@@ -67,17 +67,16 @@ bool EventsEqual(const RecordEvent& a, const RecordEvent& b) {
 
 Recording RecordRun(const Module& module, const Workload& workload, uint64_t max_steps) {
   Recorder recorder;
-  PerfCounter perf;
   VmOptions options;
   options.max_steps = max_steps;
-  options.observers = {&recorder, &perf};
+  options.observers = {&recorder};
   Vm vm(module, workload, options);
   Recording recording;
   recording.result = vm.Run();
   recording.log = recorder.log();
-  recording.instructions = perf.instructions();
-  recording.mem_accesses = perf.mem_accesses();
-  recording.branches = perf.branches();
+  recording.instructions = recording.result.stats.retired;
+  recording.mem_accesses = recording.result.stats.mem_accesses;
+  recording.branches = recording.result.stats.branches;
   return recording;
 }
 
@@ -98,13 +97,11 @@ bool ReplayAndVerify(const Module& module, const Workload& workload, const Recor
 
 SwPtStats SimulateSoftwarePt(const Module& module, const Workload& workload,
                              uint64_t max_steps) {
-  PerfCounter perf;
   VmOptions options;
   options.max_steps = max_steps;
-  options.observers = {&perf};
   Vm vm(module, workload, options);
-  vm.Run();
-  return SwPtStats{perf.instructions(), perf.branches()};
+  const RunStats stats = vm.Run().stats;
+  return SwPtStats{stats.retired, stats.branches};
 }
 
 }  // namespace gist

@@ -14,7 +14,6 @@
 
 #include <vector>
 
-#include "src/hw/perf_model.h"
 #include "src/ir/module.h"
 #include "src/vm/vm.h"
 
@@ -42,9 +41,7 @@ class Recorder : public ExecutionObserver {
  public:
   // The recorder needs every event, in the exact interleaved order the run
   // produced it — its log is a single stream where a retired instruction and
-  // the access it performed must stay adjacent. It therefore keeps the
-  // default AcceptsEventBatches() == false: batching would merge the retired
-  // and mem-access classes out of order and break ReplayAndVerify.
+  // the access it performed must stay adjacent.
   uint32_t SubscribedEvents() const override { return kEvAll; }
   void OnContextSwitch(CoreId core, ThreadId prev, ThreadId next, FunctionId next_function,
                        BlockId next_block, uint32_t next_index) override;

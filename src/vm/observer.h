@@ -6,27 +6,23 @@
 // Dispatch is subscription-masked: each observer declares the event classes
 // it consumes (SubscribedEvents), the VM builds per-event observer lists at
 // Run() start, and events nobody subscribed to cost nothing — not even a
-// virtual call. The two per-instruction-rate events (OnInstrRetired,
-// OnMemAccess) are additionally batched for observers that opt in
-// (AcceptsEventBatches): the VM buffers them per thread slice and delivers
-// contiguous runs at the next non-batched event (block entry, branch,
-// return, context switch, thread event, instrumentation-hook site).
+// virtual call. Every delivered event is one direct call, made at once, so
+// each observer sees its events in execution order, interleaved across
+// classes exactly as the run produced them.
 //
-// A batched observer that only acts at a few instrumentation sites (Gist's
-// client runtime) can go further and hand the VM a SiteTable (Sites()): the
-// VM then buffers a retired event only at kSitePtStop instructions, delivers
-// an access immediately at kSiteWatch instructions, and otherwise delivers
-// an access only when its address is in the observer's live armed set
-// (ArmedAddrs()) — the way PT is toggled by patches at static sites and a
-// debug register traps only on its armed address. Block entries reach it
-// only at kSitePtStart blocks. Everywhere else a retired instruction costs
-// nothing but the site-flag load. See DESIGN.md §7 for the flush rules and
-// why the determinism contract survives them.
+// An observer that only acts at a few instrumentation sites (Gist's client
+// runtime) can hand the VM a SiteTable (Sites()): the VM then delivers it a
+// retired event only at kSitePtStop instructions, and an access only at
+// kSiteWatch instructions or when its address is in the observer's live
+// armed set (ArmedAddrs()) — the way PT is toggled by patches at static
+// sites and a debug register traps only on its armed address. Block entries
+// reach it only at kSitePtStart blocks. Everywhere else a retired
+// instruction costs nothing but the site-flag load. See DESIGN.md §7 for
+// when the filter applies and why the determinism contract survives it.
 
 #ifndef GIST_SRC_VM_OBSERVER_H_
 #define GIST_SRC_VM_OBSERVER_H_
 
-#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -43,9 +39,9 @@ enum ObservedEvents : uint32_t {
   kEvContextSwitch = 1u << 0,   // OnContextSwitch
   kEvBlockEnter = 1u << 1,      // OnBlockEnter
   kEvBranch = 1u << 2,          // OnBranch
-  kEvMemAccess = 1u << 3,       // OnMemAccess / OnMemAccessBatch
+  kEvMemAccess = 1u << 3,       // OnMemAccess
   kEvReturn = 1u << 4,          // OnReturn
-  kEvInstrRetired = 1u << 5,    // OnInstrRetired / OnInstrRetiredBatch
+  kEvInstrRetired = 1u << 5,    // OnInstrRetired
   kEvThreadLifecycle = 1u << 6, // OnThreadStart / OnThreadExit
   kEvAll = (1u << 7) - 1,
 };
@@ -118,9 +114,9 @@ class InstrumentationHook {
 
   // Where BeforeInstr/AfterInstr do anything: the kSiteHookBefore /
   // kSiteHookAfter bits of the returned table. The VM skips the hook calls
-  // (and the batch flushes ordered around them) everywhere else, so a hook
-  // that instruments a handful of sites costs nothing on the rest of the
-  // program. Null (the default) keeps the call-everywhere behavior.
+  // everywhere else, so a hook that instruments a handful of sites costs
+  // nothing on the rest of the program. Null (the default) keeps the
+  // call-everywhere behavior.
   virtual const SiteTable* Sites() const { return nullptr; }
 };
 
@@ -134,44 +130,17 @@ class ExecutionObserver {
   // OnMemAccess, the watchpoint unit never needs OnBranch).
   virtual uint32_t SubscribedEvents() const { return kEvAll; }
 
-  // Opt-in to batched delivery of the per-instruction-rate events. When true,
-  // OnInstrRetired / OnMemAccess arrive via the *Batch entry points at flush
-  // points instead of one virtual call per event. Batching preserves the
-  // order within each event class and flushes before every non-batched event
-  // and hook site, but relaxes the interleaving BETWEEN retired and
-  // mem-access events inside one uninterrupted slice of straight-line code —
-  // only opt in when the handlers for the two classes are independent (the
-  // record/replay recorder, which logs a single interleaved stream, must
-  // not).
-  virtual bool AcceptsEventBatches() const { return false; }
-
   // Site-filtered delivery. An observer that returns a table here needs a
   // retired event only at kSitePtStop instructions, an access only at
   // kSiteWatch instructions or at an address in *ArmedAddrs() — the
   // addresses it currently watches, read live by the VM and changed only
   // inside a watch-site delivery or a hook call — and a block entry only at
-  // kSitePtStart blocks. When such an observer is the only subscriber of
-  // block entries, or the only batched subscriber of a hot event class, the
-  // VM filters that class accordingly; reference dispatch never filters. The
-  // handlers must still be correct under unfiltered delivery, and a no-op on
-  // every event the filter drops.
+  // kSitePtStart blocks. When such an observer is the only subscriber of an
+  // event class, the VM filters that class accordingly; reference dispatch
+  // never filters. The handlers must still be correct under unfiltered
+  // delivery, and a no-op on every event the filter drops.
   virtual const SiteTable* Sites() const { return nullptr; }
   virtual const std::vector<Addr>* ArmedAddrs() const { return nullptr; }
-
-  // Batched entry points; defaults unbatch so an observer can opt in without
-  // implementing them. `events`/`instrs` are contiguous runs from a single
-  // thread slice, in execution order.
-  virtual void OnMemAccessBatch(const MemAccessEvent* events, std::size_t count) {
-    for (size_t i = 0; i < count; ++i) {
-      OnMemAccess(events[i]);
-    }
-  }
-  virtual void OnInstrRetiredBatch(ThreadId tid, CoreId core, const InstrId* instrs,
-                                   size_t count) {
-    for (size_t i = 0; i < count; ++i) {
-      OnInstrRetired(tid, core, instrs[i]);
-    }
-  }
 
   // A thread was scheduled onto a core, displacing `prev` (kNoThread at the
   // start of the run or after the previous occupant exited). The incoming

@@ -1,21 +1,12 @@
 #include "src/vm/vm.h"
 
 #include <algorithm>
-#include <bit>
 #include <type_traits>
 
 #include "src/support/str.h"
 
 namespace gist {
 namespace {
-
-// Flush-size bucket: bit width clamped into RunStats' fixed array (matches
-// the obs::Histogram bucket convention, so the registry can fold the array
-// in directly).
-uint32_t FlushBucket(size_t size) {
-  return std::min<uint32_t>(static_cast<uint32_t>(std::bit_width(size)),
-                            RunStats::kFlushSizeBuckets - 1);
-}
 
 // Whether an access to `addr` can trap: an inline compare against the
 // observer's few armed addresses; an empty set costs one size test.
@@ -65,7 +56,6 @@ void Vm::BuildDispatch() {
   const bool reference = options_.reference_dispatch;
   for (ExecutionObserver* observer : options_.observers) {
     const uint32_t mask = reference ? kEvAll : observer->SubscribedEvents();
-    const bool batched = !reference && observer->AcceptsEventBatches();
     if (mask & kEvContextSwitch) {
       on_context_switch_.push_back(observer);
     }
@@ -82,14 +72,12 @@ void Vm::BuildDispatch() {
       on_thread_event_.push_back(observer);
     }
     if (mask & kEvMemAccess) {
-      (batched ? on_mem_batched_ : on_mem_immediate_).push_back(observer);
+      on_mem_.push_back(observer);
     }
     if (mask & kEvInstrRetired) {
-      (batched ? on_retired_batched_ : on_retired_immediate_).push_back(observer);
+      on_retired_.push_back(observer);
     }
   }
-  mem_observed_ = !on_mem_immediate_.empty() || !on_mem_batched_.empty();
-  retired_observed_ = !on_retired_immediate_.empty() || !on_retired_batched_.empty();
 
   // The run's site table (DESIGN.md §7). A hook without one runs everywhere,
   // as does every hook under reference dispatch.
@@ -101,9 +89,9 @@ void Vm::BuildDispatch() {
       site_mask_ |= kSiteHookBefore | kSiteHookAfter;
     }
   }
-  // An event class is filtered only when its one subscriber (for the hot
-  // classes: its one batched subscriber) supplies the run's table; any other
-  // subscriber needs every event. Reference dispatch never filters.
+  // An event class is filtered only when its one subscriber supplies the
+  // run's table; any other subscriber needs every event. Reference dispatch
+  // never filters.
   auto filter_table = [&](const std::vector<ExecutionObserver*>& subscribers)
       -> const SiteTable* {
     if (reference || subscribers.size() != 1) {
@@ -112,14 +100,14 @@ void Vm::BuildDispatch() {
     const SiteTable* sites = subscribers.front()->Sites();
     return table == nullptr || sites == table ? sites : nullptr;
   };
-  if (const SiteTable* sites = filter_table(on_retired_batched_); sites != nullptr) {
+  if (const SiteTable* sites = filter_table(on_retired_); sites != nullptr) {
     table = sites;
     site_mask_ |= kSitePtStop;
   }
-  if (const SiteTable* sites = filter_table(on_mem_batched_);
-      sites != nullptr && on_mem_batched_.front()->ArmedAddrs() != nullptr) {
+  if (const SiteTable* sites = filter_table(on_mem_);
+      sites != nullptr && on_mem_.front()->ArmedAddrs() != nullptr) {
     table = sites;
-    armed_ = on_mem_batched_.front()->ArmedAddrs();
+    armed_ = on_mem_.front()->ArmedAddrs();
     site_mask_ |= kSiteWatch;
   }
   if (const SiteTable* sites = filter_table(on_block_enter_); sites != nullptr) {
@@ -134,51 +122,23 @@ void Vm::BuildDispatch() {
     sites_ = table->instrs.data();
   }
 
-  // Fused bodies (DESIGN.md §12). Whole-run deopt: immediate retired/mem
-  // subscribers need one virtual call per event in op order, reference
-  // dispatch is the per-op oracle, and a hook without a table runs at every
-  // op — all incompatible with region-batched execution, so such runs
-  // interpret every op.
-  if (!reference && !hook_everywhere_ && on_retired_immediate_.empty() &&
-      on_mem_immediate_.empty()) {
+  // Fused bodies (DESIGN.md §12). Whole-run deopt: reference dispatch is the
+  // per-op oracle, a hook without a table runs at every op, and an
+  // unfiltered retired subscriber needs a call per op — fused bodies retire
+  // nothing, so such runs interpret every op.
+  const bool retired_unfiltered = !on_retired_.empty() && (site_mask_ & kSitePtStop) == 0;
+  if (!reference && !hook_everywhere_ && !retired_unfiltered) {
     fused_entry_ = decoded_->fused_entries();
     if (table != nullptr) {
       // Per-block deopt: a block holding a site in force (hook, PT stop,
-      // watched access) interprets per op, so its hook calls, site
-      // deliveries and their ordering flushes happen exactly where per-op
-      // interpretation puts them.
+      // watched access) interprets per op, so its hook calls and site
+      // deliveries happen exactly where per-op interpretation puts them.
       for (size_t block = 0; block < fused_entry_.size(); ++block) {
         if ((table->blocks[block] & site_mask_) != 0) {
           fused_entry_[block] = nullptr;
         }
       }
     }
-  }
-}
-
-void Vm::DeliverBatches() {
-  if (!mem_batch_.empty()) {
-    for (ExecutionObserver* observer : on_mem_batched_) {
-      observer->OnMemAccessBatch(mem_batch_.data(), mem_batch_.size());
-    }
-    RunStats& stats = result_.stats;
-    ++stats.batch_deliveries;
-    stats.flushed_mem_events += mem_batch_.size();
-    stats.dispatched_events += mem_batch_.size() * on_mem_batched_.size();
-    ++stats.flush_size_log2[FlushBucket(mem_batch_.size())];
-    mem_batch_.clear();
-  }
-  if (!retired_batch_.empty()) {
-    for (ExecutionObserver* observer : on_retired_batched_) {
-      observer->OnInstrRetiredBatch(batch_tid_, batch_core_, retired_batch_.data(),
-                                    retired_batch_.size());
-    }
-    RunStats& stats = result_.stats;
-    ++stats.batch_deliveries;
-    stats.flushed_retired_events += retired_batch_.size();
-    stats.dispatched_events += retired_batch_.size() * on_retired_batched_.size();
-    ++stats.flush_size_log2[FlushBucket(retired_batch_.size())];
-    retired_batch_.clear();
   }
 }
 
@@ -264,9 +224,10 @@ uint64_t Vm::StepBurst(ThreadState& thread, uint64_t max_count) {
   const uint8_t* const sites = sites_;
   const uint8_t site_mask = site_mask_;
   const uint8_t hook_all = hook_everywhere_ ? kSiteHookBefore | kSiteHookAfter : 0;
-  const bool mem_observed = mem_observed_;
-  const bool retired_observed = retired_observed_;
-  const bool retired_filtered = (site_mask_ & kSitePtStop) != 0;
+  const bool mem_observed = !on_mem_.empty();
+  // Whether every retired event is delivered; otherwise only those at
+  // PT-stop sites in force are (none when nobody subscribed).
+  const bool retire_all = !on_retired_.empty() && (site_mask_ & kSitePtStop) == 0;
   const std::vector<Addr>* const armed = armed_;
   const ThreadId tid = thread.id;
   const CoreId core = thread.core;
@@ -334,8 +295,8 @@ uint64_t Vm::StepBurst(ThreadState& thread, uint64_t max_count) {
     });
   };
   // With no observers at all, every Dispatch at a control transfer is a
-  // no-op (all subscriber lists are empty and the batch buffers can never
-  // fill), so the hot branch/jump/call/return paths skip them wholesale.
+  // no-op (all subscriber lists are empty), so the hot branch/jump/call/
+  // return paths skip them wholesale.
   const bool quiet = options_.observers.empty();
   // Fused bodies (DESIGN.md §12): non-empty only when BuildDispatch decided
   // this run's dispatch/observer configuration permits fused execution.
@@ -404,48 +365,19 @@ uint64_t Vm::StepBurst(ThreadState& thread, uint64_t max_count) {
       if (!mem_observed) {
         return;
       }
-      MemAccessEvent event{seq, tid, core, instr.id, addr, value, is_write};
-      if (!on_mem_immediate_.empty()) {
-        result_.stats.dispatched_events += on_mem_immediate_.size();
-        for (ExecutionObserver* observer : on_mem_immediate_) {
-          observer->OnMemAccess(event);
-        }
-      }
-      if (on_mem_batched_.empty()) {
-        return;
-      }
-      if (armed == nullptr || IsArmed(*armed, addr)) {
-        mem_batch_.push_back(event);
-      } else if ((site & kSiteWatch) != 0) {
-        // A watched access may arm its address, which changes the filter for
-        // every later access: deliver it now, after everything buffered.
-        mem_batch_.push_back(event);
-        FlushBatches();
+      // Under access filtering: a watch-site access (which may arm its
+      // address) or a hit on an armed one.
+      if (armed == nullptr || (site & kSiteWatch) != 0 || IsArmed(*armed, addr)) {
+        DeliverMemAccess(MemAccessEvent{seq, tid, core, instr.id, addr, value, is_write});
       }
     };
     auto retire = [&]() {
-      if (!retired_observed) {
-        return;
-      }
-      if (!on_retired_immediate_.empty()) {
-        result_.stats.dispatched_events += on_retired_immediate_.size();
-        for (ExecutionObserver* observer : on_retired_immediate_) {
-          observer->OnInstrRetired(tid, core, instr.id);
-        }
-      }
-      if (!on_retired_batched_.empty() && (!retired_filtered || (site & kSitePtStop) != 0)) {
-        if (retired_batch_.empty()) {
-          batch_tid_ = tid;
-          batch_core_ = core;
-        }
-        retired_batch_.push_back(instr.id);
+      if (retire_all || (site & kSitePtStop) != 0) {
+        DeliverRetired(tid, core, instr.id);
       }
     };
 
     if ((site & kSiteHookBefore) != 0) {
-      // Flush so the hook (which may arm watchpoints from live registers)
-      // observes every earlier access before it runs — the unbatched order.
-      FlushBatches();
       options_.hook->BeforeInstr(tid, instr.id, frame->regs);
     }
 
@@ -745,9 +677,6 @@ uint64_t Vm::StepBurst(ThreadState& thread, uint64_t max_count) {
     }
 
     if ((site & kSiteHookAfter) != 0) {
-      // Deliver this instruction's own access before the hook runs (the
-      // unbatched order is access, then AfterInstr arming).
-      FlushBatches();
       options_.hook->AfterInstr(tid, instr.id, frame->regs);
     }
     retire();
@@ -776,16 +705,17 @@ uint64_t Vm::StepBurst(ThreadState& thread, uint64_t max_count) {
 //     and quantum-re-roll rng draws at the same retired-instruction boundary
 //     StepBurst would, and dispatches the same OnContextSwitch when the
 //     pick changes threads;
-//   * kObserved replicates the exact batch pushes and boundary dispatches:
-//     straight-line ops append to the mem/retired batch buffers (subject to
-//     the same site filters), a kBr flushes via Dispatch(on_branch_) before
-//     the branch event and via Dispatch(on_block_enter_) (when the entered
-//     block's event is needed) after pushing the branch's own retired id —
-//     the same flush boundaries, sizes, and event order as StepBurst;
+//   * kObserved replicates the exact deliveries and boundary dispatches:
+//     straight-line accesses are delivered in op order (subject to the same
+//     armed-address filter), a kBr dispatches its branch event and then
+//     (when needed) the entered block's — the same events in the same order
+//     as StepBurst. No retired event is ever due here: the run has no
+//     retired subscriber, or retired delivery is filtered and blocks holding
+//     a PT-stop site never run fused;
 //   * faults sync the frame to the faulting op (index = op + 1, exactly
 //     where StepBurst leaves it) and raise the identical FailureReport;
-//     the faulting op is charged to the step budget but never retired to a
-//     batch, and a faulting access bumps no access counters.
+//     the faulting op is charged to the step budget but never retires, and
+//     a faulting access bumps no access counters.
 template <bool kObserved, bool kProfiled>
 uint64_t Vm::RunFusedChain(ThreadState& thread, const FusedBlock* fb, uint32_t index,
                            uint64_t budget, uint64_t steps_base, const DecodedBlock** resume,
@@ -796,12 +726,9 @@ uint64_t Vm::RunFusedChain(ThreadState& thread, const FusedBlock* fb, uint32_t i
   Word* const regs = frame->regs.data();
   const FunctionId function_id = frame->function->id;
   [[maybe_unused]] BlockProfile* const prof = options_.profile;
-  const bool mem_batched = kObserved && !on_mem_batched_.empty();
-  // Under retired filtering nothing here retires to a batch: blocks holding
-  // a PT-stop site never run fused. Under access filtering no op here is a
-  // watch site, so only accesses to armed addresses are delivered.
-  const bool retired_batched =
-      kObserved && !on_retired_batched_.empty() && (site_mask_ & kSitePtStop) == 0;
+  // Under access filtering no op here is a watch site, so only accesses to
+  // armed addresses are delivered.
+  const bool mem_observed = kObserved && !on_mem_.empty();
   const std::vector<Addr>* const armed = armed_;
 
   uint64_t executed = 0;
@@ -849,15 +776,6 @@ uint64_t Vm::RunFusedChain(ThreadState& thread, const FusedBlock* fb, uint32_t i
                          static_cast<unsigned long long>(addr),
                          full.loc.text.empty() ? OpcodeName(instr.op) : full.loc.text.c_str()));
   };
-  auto push_retired = [&](InstrId id) {
-    if (retired_batched) {
-      if (retired_batch_.empty()) {
-        batch_tid_ = tid;
-        batch_core_ = core;
-      }
-      retired_batch_.push_back(id);
-    }
-  };
 
   // Dispatch-state locals shared by every entry into the threaded region
   // below; each entry point sets them before jumping into the table.
@@ -887,15 +805,12 @@ uint64_t Vm::RunFusedChain(ThreadState& thread, const FusedBlock* fb, uint32_t i
       &&op_nop /* kThreadCreate */,        &&op_nop /* kThreadJoin */,
       &&op_nop /* kLock */,   &&op_nop /* kUnlock */,    &&op_input,
       &&op_print, &&op_nop};
-#define GIST_FUSED_NEXT()                                 \
-  do {                                                    \
-    if constexpr (kObserved) {                            \
-      push_retired(op->src->id);                          \
-    }                                                     \
-    if (++op == end) {                                    \
-      goto chunk_done;                                    \
-    }                                                     \
-    goto* kDispatch[static_cast<size_t>(op->exec)];       \
+#define GIST_FUSED_NEXT()                           \
+  do {                                              \
+    if (++op == end) {                              \
+      goto chunk_done;                              \
+    }                                               \
+    goto* kDispatch[static_cast<size_t>(op->exec)]; \
   } while (false)
 
 block_top:
@@ -1023,8 +938,8 @@ chunk_done:
       regs[op->dst] = value;
       ++result_.stats.mem_accesses;
       const uint64_t seq = access_seq_++;
-      if (mem_batched && (armed == nullptr || IsArmed(*armed, addr))) {
-        mem_batch_.push_back(
+      if (mem_observed && (armed == nullptr || IsArmed(*armed, addr))) {
+        DeliverMemAccess(
             MemAccessEvent{seq, tid, core, op->src->id, addr, value, /*is_write=*/false});
       }
       GIST_FUSED_NEXT();
@@ -1039,8 +954,8 @@ chunk_done:
       }
       ++result_.stats.mem_accesses;
       const uint64_t seq = access_seq_++;
-      if (mem_batched && (armed == nullptr || IsArmed(*armed, addr))) {
-        mem_batch_.push_back(
+      if (mem_observed && (armed == nullptr || IsArmed(*armed, addr))) {
+        DeliverMemAccess(
             MemAccessEvent{seq, tid, core, op->src->id, addr, value, /*is_write=*/true});
       }
       GIST_FUSED_NEXT();
@@ -1121,7 +1036,6 @@ chunk_done:
         ++prof->exec[next_pi];
       }
       if constexpr (kObserved) {
-        push_retired(fb->term_src->id);
         if (NeedsBlockEnter(next_pi)) {
           Dispatch(on_block_enter_, [&](ExecutionObserver& o) {
             o.OnBlockEnter(tid, core, function_id, next->id);
@@ -1169,8 +1083,6 @@ uint64_t Vm::RenewQuantum(ThreadState& thread, uint64_t steps_now) {
     const ThreadId prev = core_occupant_[core];
     core_occupant_[core] = next;
     const Frame& next_frame = threads_[next].stack.back();
-    // Dispatch flushes the batch buffers first, closing the outgoing chain's
-    // slice — exactly StepBurst's switch boundary.
     Dispatch(on_context_switch_, [&](ExecutionObserver& o) {
       o.OnContextSwitch(core, prev, next, next_frame.function->id, next_frame.block->id,
                         next_frame.index);
@@ -1296,8 +1208,6 @@ RunResult Vm::Run() {
         const ThreadId prev = core_occupant_[core];
         core_occupant_[core] = next;
         const Frame& next_frame = threads_[next].stack.back();
-        // Dispatch flushes the batch buffers first, which also closes the
-        // outgoing thread's slice — batches never span a context switch.
         Dispatch(on_context_switch_, [&](ExecutionObserver& o) {
           o.OnContextSwitch(core, prev, next, next_frame.function->id, next_frame.block->id,
                             next_frame.index);
@@ -1358,10 +1268,6 @@ RunResult Vm::Run() {
       quantum -= std::min(executed, quantum);
     }
   }
-  // Deliver any trailing buffered events (failure or budget-exhaustion ends
-  // mid-slice) so observers see the complete run before TakeTrace-style
-  // harvesting.
-  FlushBatches();
   result_.stats.retired = result_.stats.steps - unretired_steps_;
   return result_;
 }

@@ -14,14 +14,14 @@
 // (StepBurst) against a DecodedModule — flat
 // pre-validated instruction arrays with resolved successor pointers — and
 // observer dispatch goes through per-event subscription lists built at Run()
-// start, with the per-instruction-rate events (retired, mem access) batched
-// into buffers flushed at block boundaries / context switches / hook sites,
-// and filtered down to the instrumentation sites of an observer's SiteTable
-// when it supplies one (observer.h).
+// start. Every event reaches its subscribers as one direct call, in
+// execution order; the per-instruction-rate events (retired, mem access) are
+// filtered down to the instrumentation sites of an observer's SiteTable when
+// it supplies one (observer.h).
 // Pass VmOptions::decoded to share one cache across runs (the fleet does);
 // otherwise the VM decodes privately at construction. Blocks the
 // DecodedModule fused at decode time run as straight-line fused bodies
-// (DESIGN.md §12) whenever the run's observer set permits batching.
+// (DESIGN.md §12) unless a retired subscriber needs every instruction.
 
 #ifndef GIST_SRC_VM_VM_H_
 #define GIST_SRC_VM_VM_H_
@@ -49,7 +49,7 @@ namespace gist {
 // tests/fleet_tier_test.cc).
 enum class ExecTier : uint8_t {
   kFast = 0,       // pre-decoded StepBurst with fused bodies (DESIGN.md §7, §12)
-  kReference = 1,  // unbatched dispatch, hook everywhere — the semantics oracle
+  kReference = 1,  // unfiltered dispatch, hook everywhere — the semantics oracle
 };
 
 // Accepts "fast" and "ref"/"reference". Returns false on anything else.
@@ -74,10 +74,9 @@ struct VmOptions {
   // Shared pre-decoded cache for `module` (must be decoded from the same
   // Module instance and outlive the VM). Null: the VM decodes privately.
   const DecodedModule* decoded = nullptr;
-  // Reference dispatch: ignore batching opt-ins and site tables, deliver every
-  // event as one virtual call per event, call the hook at every instruction,
-  // and never run fused bodies — the semantics the fast path must match
-  // byte-for-byte.
+  // Reference dispatch: ignore site tables, deliver every event to every
+  // subscriber, call the hook at every instruction, and never run fused
+  // bodies — the semantics the fast path must match byte-for-byte.
   // Used by tests/vm_fastpath_test.cc; keep off otherwise.
   bool reference_dispatch = false;
   // Caller-owned profile shard (src/obs/profiler.h): when set, the
@@ -107,28 +106,25 @@ struct RunStats {
   uint64_t thread_events = 0;
   // Instructions retired: `steps` minus the op that raised an in-burst
   // failure (a faulting op is charged to the step budget but never retires).
-  // Equals what a PerfCounter subscribed to every retired event counts.
+  // Equals the OnInstrRetired calls an observer receives under reference
+  // dispatch, which delivers every retired event.
   uint64_t retired = 0;
 
   // --- dispatch-engine telemetry (DESIGN.md §9) -----------------------------
-  // Counted per burst / per flush, never per instruction, so the fast path's
-  // cost is a handful of adds per scheduling quantum. These depend on the
-  // dispatch mode (batched vs reference) and land under the flight
-  // recorder's "engine." namespace, which the cross-interpreter determinism
-  // tests exclude; everything above is mode-independent.
-  uint64_t bursts = 0;                  // StepBurst invocations
-  uint64_t batch_deliveries = 0;        // non-empty batch buffers flushed
-  uint64_t flushed_retired_events = 0;  // retired events delivered batched
-  uint64_t flushed_mem_events = 0;      // mem-access events delivered batched
-  uint64_t dispatched_events = 0;       // observer callback payloads delivered
-  // Flush sizes bucketed by bit width (same convention as obs::Histogram:
-  // bucket i holds sizes with bit_width == i, last bucket absorbs wider).
-  static constexpr uint32_t kFlushSizeBuckets = 17;
-  uint32_t flush_size_log2[kFlushSizeBuckets] = {};
+  // Counted per burst / per delivered event, never per undelivered
+  // instruction, so the fast path's cost stays at a handful of adds per
+  // scheduling quantum. These depend on the dispatch mode (filtered vs
+  // reference) and land under the flight recorder's "engine." namespace,
+  // which the cross-interpreter determinism tests exclude; everything above
+  // is mode-independent.
+  uint64_t bursts = 0;              // StepBurst invocations
+  uint64_t retired_deliveries = 0;  // retired events delivered (once each)
+  uint64_t mem_deliveries = 0;      // mem-access events delivered (once each)
+  uint64_t dispatched_events = 0;   // observer callback payloads delivered
 
   // Fused-body activity (DESIGN.md §12): zero under reference dispatch and
-  // immediate subscribers, so it is dispatch-engine telemetry too and lands
-  // under "engine." as well.
+  // unfiltered retired subscribers, so it is dispatch-engine telemetry too
+  // and lands under "engine." as well.
   uint64_t fused_chains = 0;   // fusion-region entries (each exits via deopt)
   uint64_t fused_blocks = 0;   // fused block bodies executed
   uint64_t fused_retired = 0;  // instructions retired inside fused bodies
@@ -197,7 +193,7 @@ class Vm {
   // (block + index, enter accounting already done) via `resume`/
   // `resume_index`; `steps_base` is the run's retired count at chain entry
   // (the renewal budget checks need it live). kObserved replicates the fast
-  // path's exact batch pushes and boundary dispatches; !kObserved is the
+  // path's exact access deliveries and boundary dispatches; !kObserved is the
   // pure-compute loop. kProfiled mirrors options_.profile != nullptr so the
   // common unprofiled configuration carries no per-block profile tests. On a
   // fault the frame is synced to the faulting op and done_ is set.
@@ -230,30 +226,27 @@ class Vm {
   }
   std::vector<InstrId> StackTrace(const ThreadState& thread, InstrId failing) const;
 
-  // --- subscription-masked, batched dispatch --------------------------------
-  // Splits options_.observers into per-event lists (and immediate/batched
-  // halves for the two hot events); picks the run's site table, if any.
+  // --- subscription-masked dispatch -----------------------------------------
+  // Splits options_.observers into per-event lists; picks the run's site
+  // table, if any.
   void BuildDispatch();
-  // Delivers the buffered retired/mem-access runs. Must run before any
-  // non-batched event or hook call so every observer sees events in
-  // execution order (see observer.h). Inline because site filtering leaves
-  // the buffers empty at most of the block-boundary dispatches that call it.
-  void FlushBatches() {
-    if (!mem_batch_.empty() || !retired_batch_.empty()) {
-      DeliverBatches();
-    }
-  }
-  void DeliverBatches();
 
-  // Dispatch helper for the non-batched ("immediate") events: flush the hot
-  // buffers first, then fan out to the event's subscriber list.
+  // Fans an event out to its subscriber list.
   template <typename Fn>
   void Dispatch(const std::vector<ExecutionObserver*>& list, Fn&& fn) {
-    FlushBatches();
     result_.stats.dispatched_events += list.size();
     for (ExecutionObserver* observer : list) {
       fn(*observer);
     }
+  }
+  // The hot events: callers have already applied the site filter.
+  void DeliverRetired(ThreadId tid, CoreId core, InstrId instr) {
+    ++result_.stats.retired_deliveries;
+    Dispatch(on_retired_, [&](ExecutionObserver& o) { o.OnInstrRetired(tid, core, instr); });
+  }
+  void DeliverMemAccess(const MemAccessEvent& event) {
+    ++result_.stats.mem_deliveries;
+    Dispatch(on_mem_, [&](ExecutionObserver& o) { o.OnMemAccess(event); });
   }
 
   const Module& module_;
@@ -282,26 +275,16 @@ class Vm {
   std::vector<ExecutionObserver*> on_branch_;
   std::vector<ExecutionObserver*> on_return_;
   std::vector<ExecutionObserver*> on_thread_event_;
-  std::vector<ExecutionObserver*> on_mem_immediate_;
-  std::vector<ExecutionObserver*> on_mem_batched_;
-  std::vector<ExecutionObserver*> on_retired_immediate_;
-  std::vector<ExecutionObserver*> on_retired_batched_;
-  bool mem_observed_ = false;      // any mem-access subscriber at all
-  bool retired_observed_ = false;  // any retired subscriber at all
-
-  // Hot-event batch buffers: contiguous runs from the current thread slice.
-  std::vector<MemAccessEvent> mem_batch_;
-  std::vector<InstrId> retired_batch_;
-  ThreadId batch_tid_ = kNoThread;  // owner of the buffered retired run
-  CoreId batch_core_ = 0;
+  std::vector<ExecutionObserver*> on_mem_;
+  std::vector<ExecutionObserver*> on_retired_;
 
   // The run's site table (SiteTable::instrs; null: none) and the flags of it
   // in force: the hook bits when the hook supplied it, kSitePtStop when
   // retired delivery is filtered, kSiteWatch when access delivery is.
   const uint8_t* sites_ = nullptr;
   uint8_t site_mask_ = 0;
-  // Access filtering (kSiteWatch in force): the sole batched access
-  // subscriber's live armed set.
+  // Access filtering (kSiteWatch in force): the sole access subscriber's
+  // live armed set.
   const std::vector<Addr>* armed_ = nullptr;
   // Block-enter filtering: SiteTable::blocks of the sole block-enter
   // subscriber, which needs only its kSitePtStart blocks (null: unfiltered).

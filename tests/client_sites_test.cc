@@ -8,29 +8,50 @@
 //     of PT-start blocks;
 //   * the RunTrace is byte-identical to reference dispatch across watchpoint
 //     budgets, static watch addresses, and stop sites on br/call/ret;
+//   * every event reaches the runtime at once: the interleaved sequence of
+//     everything it is delivered equals the reference run's events filtered
+//     the same way, across event classes;
 //   * a second subscriber without a table turns filtering off;
-//   * RunTrace::baseline_instructions (the VM's retired count) equals an
-//     independent PerfCounter's count under reference dispatch, for every
-//     Table 1 app and every failure kind.
+//   * RunStats' retired, branch and access counts equal an independent
+//     per-event counter's under reference dispatch, and
+//     RunTrace::baseline_instructions (the VM's retired count) equals that
+//     count on the fast path, for every Table 1 app and every failure kind.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/apps/app.h"
 #include "src/coop/wire.h"
 #include "src/core/gist.h"
 #include "src/corpus/corpus.h"
-#include "src/hw/perf_model.h"
 #include "src/ir/parser.h"
 
 namespace gist {
 namespace {
 
 constexpr uint32_t kCores = 4;
+
+// Counts every retired, branch and access event it is delivered, one call
+// at a time — independent of the VM's own RunStats tallies.
+class EventCounter : public ExecutionObserver {
+ public:
+  uint32_t SubscribedEvents() const override {
+    return kEvInstrRetired | kEvBranch | kEvMemAccess;
+  }
+  void OnInstrRetired(ThreadId, CoreId, InstrId) override { ++retired; }
+  void OnBranch(ThreadId, CoreId, InstrId, bool) override { ++branches; }
+  void OnMemAccess(const MemAccessEvent&) override { ++mem_accesses; }
+
+  uint64_t retired = 0;
+  uint64_t branches = 0;
+  uint64_t mem_accesses = 0;
+};
 
 // A client runtime that records what the VM actually delivers to it.
 class CountingRuntime : public ClientRuntime {
@@ -156,12 +177,12 @@ void ExpectExactDelivery(const Module& module, const InstrumentationPlan& plan,
       << label << ": access deliveries != watch-site accesses + armed hits";
   EXPECT_EQ(fast.block_enters, oracle->start_enters)
       << label << ": block-enter deliveries != PT-start block entries";
-  EXPECT_EQ(fast.result.stats.flushed_mem_events, fast.mem_seqs.size()) << label;
+  EXPECT_EQ(fast.result.stats.mem_deliveries, fast.mem_seqs.size()) << label;
   uint64_t stops = 0;
   for (const auto& [instr, count] : oracle->stops) {
     stops += count;
   }
-  EXPECT_EQ(fast.result.stats.flushed_retired_events, stops) << label;
+  EXPECT_EQ(fast.result.stats.retired_deliveries, stops) << label;
   EXPECT_EQ(SerializeRunTrace(fast.trace), SerializeRunTrace(ref.trace))
       << label << ": RunTrace differs from reference dispatch";
   EXPECT_EQ(fast.result.stats.retired, ref.result.stats.retired) << label;
@@ -415,16 +436,16 @@ TEST(ClientSitesTest, SecondSubscriberWithoutTableDisablesFiltering) {
     const ClientRun alone =
         RunClient(*module, plan, sites, SitesWorkload(2), slots, /*reference=*/false);
 
-    // A PerfCounter shares the retired and access classes: both subscribers
-    // get every such event, once.
-    PerfCounter perf;
+    // An EventCounter shares the retired and access classes: both
+    // subscribers get every such event, once.
+    EventCounter counter;
     const ClientRun counted = RunClient(*module, plan, sites, SitesWorkload(2), slots,
-                                        /*reference=*/false, nullptr, &perf);
+                                        /*reference=*/false, nullptr, &counter);
     const RunStats& stats = counted.result.stats;
-    EXPECT_EQ(stats.flushed_retired_events, stats.retired) << label;
-    EXPECT_EQ(stats.flushed_mem_events, stats.mem_accesses) << label;
-    EXPECT_EQ(perf.instructions(), stats.retired) << label;
-    EXPECT_EQ(perf.mem_accesses(), stats.mem_accesses) << label;
+    EXPECT_EQ(stats.retired_deliveries, stats.retired) << label;
+    EXPECT_EQ(stats.mem_deliveries, stats.mem_accesses) << label;
+    EXPECT_EQ(counter.retired, stats.retired) << label;
+    EXPECT_EQ(counter.mem_accesses, stats.mem_accesses) << label;
     uint64_t received = 0;
     for (const auto& [instr, count] : counted.retired) {
       received += count;
@@ -444,28 +465,198 @@ TEST(ClientSitesTest, SecondSubscriberWithoutTableDisablesFiltering) {
     EXPECT_EQ(SerializeRunTrace(traced.trace), SerializeRunTrace(ref.trace)) << label;
 
     // Alone, the runtime is filtered: far fewer deliveries than events.
-    EXPECT_LT(alone.result.stats.flushed_retired_events, stats.retired / 10) << label;
-    EXPECT_LT(alone.result.stats.flushed_mem_events, stats.mem_accesses) << label;
+    EXPECT_LT(alone.result.stats.retired_deliveries, stats.retired / 10) << label;
+    EXPECT_LT(alone.result.stats.mem_deliveries, stats.mem_accesses) << label;
     EXPECT_LT(alone.block_enters, stats.block_enters) << label;
   }
 }
 
+// --- order across event classes ----------------------------------------------
+
+// One event as a runtime received it: its class and payload.
+struct LoggedEvent {
+  char kind;  // 's' switch, 'e' block enter, 'b' branch, 'm' access, 'r' return, 'i' retired
+  uint64_t a;
+  uint64_t b;
+  uint64_t c;
+  uint64_t d;
+  bool operator==(const LoggedEvent&) const = default;
+};
+
+// A client runtime, still the run's sole subscriber, that logs the events it
+// receives in arrival order. With `filter`, it logs only what the site filter
+// lets through — retired events at PT-stop sites, accesses at watch sites or
+// to an address in ArmedAddrs() at delivery time, entries of PT-start blocks
+// — which is how a reference run (delivering everything) is compared with a
+// fast run (filtered by the VM, logged unfiltered).
+class LoggingRuntime : public ClientRuntime {
+ public:
+  template <typename... Args>
+  explicit LoggingRuntime(bool filter, Args&&... args)
+      : ClientRuntime(std::forward<Args>(args)...), filter_(filter) {}
+
+  void OnContextSwitch(CoreId core, ThreadId prev, ThreadId next, FunctionId next_function,
+                       BlockId next_block, uint32_t next_index) override {
+    log.push_back({'s', core, (uint64_t{prev} << 32) | next,
+                   (uint64_t{next_function} << 32) | next_block, next_index});
+    ClientRuntime::OnContextSwitch(core, prev, next, next_function, next_block, next_index);
+  }
+  void OnBlockEnter(ThreadId tid, CoreId core, FunctionId function, BlockId block) override {
+    if (!filter_ || (Sites()->BlockFlags(function, block) & kSitePtStart) != 0) {
+      log.push_back({'e', tid, core, function, block});
+    }
+    ClientRuntime::OnBlockEnter(tid, core, function, block);
+  }
+  void OnBranch(ThreadId tid, CoreId core, InstrId instr, bool taken) override {
+    log.push_back({'b', tid, core, instr, taken ? 1u : 0u});
+    ClientRuntime::OnBranch(tid, core, instr, taken);
+  }
+  void OnMemAccess(const MemAccessEvent& event) override {
+    const std::vector<Addr>& armed = *ArmedAddrs();
+    if (!filter_ || (Sites()->instrs[event.instr] & kSiteWatch) != 0 ||
+        std::find(armed.begin(), armed.end(), event.addr) != armed.end()) {
+      log.push_back({'m', event.seq, (uint64_t{event.tid} << 32) | event.core, event.instr,
+                     event.addr});
+    }
+    ClientRuntime::OnMemAccess(event);
+  }
+  void OnReturn(ThreadId tid, CoreId core, InstrId instr, FunctionId to_function,
+                BlockId to_block, uint32_t to_index) override {
+    log.push_back({'r', tid, (uint64_t{core} << 32) | instr,
+                   (uint64_t{to_function} << 32) | to_block, to_index});
+    ClientRuntime::OnReturn(tid, core, instr, to_function, to_block, to_index);
+  }
+  void OnInstrRetired(ThreadId tid, CoreId core, InstrId instr) override {
+    if (!filter_ || (Sites()->instrs[instr] & kSitePtStop) != 0) {
+      log.push_back({'i', tid, core, instr, 0});
+    }
+    ClientRuntime::OnInstrRetired(tid, core, instr);
+  }
+
+  std::vector<LoggedEvent> log;
+
+ private:
+  const bool filter_;
+};
+
+// Runs `runtime` as the run's sole observer and hook; returns its trace.
+RunTrace RunLogged(LoggingRuntime& runtime, const Module& module, const Workload& workload,
+                   bool reference) {
+  VmOptions options;
+  options.num_cores = kCores;
+  options.observers = {&runtime};
+  options.hook = &runtime;
+  options.reference_dispatch = reference;
+  Vm vm(module, workload, options);
+  const RunResult result = vm.Run();
+  return runtime.TakeTrace(/*run_id=*/1, result);
+}
+
+// Event counts by class over a test's comparisons.
+using KindCounts = std::map<char, uint64_t>;
+
+// Checks that the fast run delivers exactly the reference run's filtered
+// events, in the same interleaved order, and ships the same trace.
+void ExpectSameOrder(LoggingRuntime& fast, LoggingRuntime& ref, const Module& module,
+                     const Workload& workload, const std::string& label, KindCounts* kinds) {
+  const RunTrace fast_trace = RunLogged(fast, module, workload, /*reference=*/false);
+  const RunTrace ref_trace = RunLogged(ref, module, workload, /*reference=*/true);
+  ASSERT_EQ(fast.log.size(), ref.log.size()) << label;
+  for (size_t i = 0; i < fast.log.size(); ++i) {
+    ASSERT_TRUE(fast.log[i] == ref.log[i])
+        << label << ": delivery " << i << " is '" << fast.log[i].kind << "', reference '"
+        << ref.log[i].kind << "'";
+  }
+  EXPECT_EQ(SerializeRunTrace(fast_trace), SerializeRunTrace(ref_trace)) << label;
+  for (const LoggedEvent& event : fast.log) {
+    ++(*kinds)[event.kind];
+  }
+}
+
+TEST(ClientSitesTest, DeliveryOrderAcrossClassesMatchesReferenceOnEveryRotation) {
+  KindCounts kinds;
+  for (const char* name : kApps) {
+    std::unique_ptr<BugApp> app = MakeAppByName(name);
+    ASSERT_NE(app, nullptr) << name;
+    Workload failing;
+    FailureReport failure;
+    ASSERT_TRUE(FindAppFailure(*app, &failing, &failure)) << name;
+    GistServer server(app->module(), GistOptions{});
+    server.ReportFailure(failure);
+    const PlanSnapshot snapshot = server.Snapshot();
+    const size_t clients = std::max<size_t>(1, snapshot.rotation_count());
+    const std::vector<Workload> workloads = {failing, AppWorkload(*app, 1)};
+    for (size_t client = 0; client < clients; ++client) {
+      for (size_t w = 0; w < workloads.size(); ++w) {
+        LoggingRuntime fast(false, app->module(), snapshot, client, kCores);
+        LoggingRuntime ref(true, app->module(), snapshot, client, kCores);
+        ExpectSameOrder(fast, ref, app->module(), workloads[w],
+                        std::string(name) + " client " + std::to_string(client) +
+                            " workload " + std::to_string(w),
+                        &kinds);
+      }
+    }
+  }
+  // The filtered classes and the branches around them were all exercised.
+  EXPECT_GT(kinds['i'], 0u);
+  EXPECT_GT(kinds['m'], 0u);
+  EXPECT_GT(kinds['e'], 0u);
+  EXPECT_GT(kinds['b'], 0u);
+}
+
+TEST(ClientSitesTest, DeliveryOrderAcrossClassesMatchesReferenceOnSitesProgram) {
+  const std::unique_ptr<Module> module = ParseSitesProgram();
+  ASSERT_NE(module, nullptr);
+  KindCounts kinds;
+  for (Opcode stop_op : {Opcode::kBr, Opcode::kCall}) {
+    for (const char* function : {"main", "bump"}) {
+      if (stop_op == Opcode::kCall && std::string(function) == "bump") {
+        continue;  // bump calls nothing
+      }
+      const InstrId stop = FindInstr(*module, function, stop_op);
+      for (bool arm_sites : {false, true}) {
+        const InstrumentationPlan plan = SitesProgramPlan(*module, stop, arm_sites);
+        const SiteTable sites = CompileSiteTable(*module, plan);
+        for (uint32_t slots : {0u, 1u, 4u}) {
+          for (uint64_t seed = 1; seed <= 3; ++seed) {
+            LoggingRuntime fast(false, *module, plan, sites, kCores, kDefaultPtBufferBytes,
+                                slots);
+            LoggingRuntime ref(true, *module, plan, sites, kCores, kDefaultPtBufferBytes, slots);
+            ExpectSameOrder(fast, ref, *module, SitesWorkload(seed),
+                            std::string("stop in ") + function + (arm_sites ? " armed" : "") +
+                                " slots " + std::to_string(slots) + " seed " +
+                                std::to_string(seed),
+                            &kinds);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(kinds['i'], 0u);
+  EXPECT_GT(kinds['m'], 0u);
+}
+
 // --- retired-count oracle ----------------------------------------------------
 
-// PerfCounter's retired count for `workload` under reference dispatch: every
-// retired instruction is one virtual call, independent of RunStats.
+// An EventCounter's retired count for `workload` under reference dispatch,
+// where every retired instruction is one call; its retired, branch and
+// access counts must equal the run's RunStats.
 uint64_t ReferenceRetired(const Module& module, const Workload& workload, uint64_t max_steps,
-                          uint64_t kill_after_steps, RunResult* result) {
-  PerfCounter perf;
+                          uint64_t kill_after_steps, RunResult* result,
+                          const std::string& label) {
+  EventCounter counter;
   VmOptions options;
   options.num_cores = kCores;
   options.max_steps = max_steps;
   options.kill_after_steps = kill_after_steps;
-  options.observers = {&perf};
+  options.observers = {&counter};
   options.reference_dispatch = true;
   Vm vm(module, workload, options);
   *result = vm.Run();
-  return perf.instructions();
+  EXPECT_EQ(counter.retired, result->stats.retired) << label;
+  EXPECT_EQ(counter.branches, result->stats.branches) << label;
+  EXPECT_EQ(counter.mem_accesses, result->stats.mem_accesses) << label;
+  return counter.retired;
 }
 
 // Fast-path client run of `plan`; returns the trace's retired count.
@@ -485,7 +676,7 @@ uint64_t FastBaseline(const Module& module, const InstrumentationPlan& plan,
   return runtime.TakeTrace(/*run_id=*/1, *result).baseline_instructions;
 }
 
-// Checks the fast path's count against the reference PerfCounter under two
+// Checks the fast path's count against the reference EventCounter under two
 // plans: the server's plan for `failure` (when it names a failing statement)
 // and the empty plan, whose runs keep every fusable block fused.
 void ExpectRetiredMatchesOracle(const Module& module, const FailureReport& failure,
@@ -494,7 +685,7 @@ void ExpectRetiredMatchesOracle(const Module& module, const FailureReport& failu
                                 RunResult* fast_result) {
   RunResult ref_result;
   const uint64_t want =
-      ReferenceRetired(module, workload, max_steps, kill_after_steps, &ref_result);
+      ReferenceRetired(module, workload, max_steps, kill_after_steps, &ref_result, label);
   EXPECT_GT(want, 0u) << label;
   std::vector<InstrumentationPlan> plans = {InstrumentationPlan{}};
   if (failure.failing_instr != kNoInstr) {
@@ -511,7 +702,7 @@ void ExpectRetiredMatchesOracle(const Module& module, const FailureReport& failu
   }
 }
 
-TEST(ClientSitesTest, RetiredCountMatchesReferencePerfCounterOnEveryApp) {
+TEST(ClientSitesTest, RetiredCountMatchesReferenceCounterOnEveryApp) {
   for (const char* name : kApps) {
     std::unique_ptr<BugApp> app = MakeAppByName(name);
     ASSERT_NE(app, nullptr) << name;
@@ -521,14 +712,16 @@ TEST(ClientSitesTest, RetiredCountMatchesReferencePerfCounterOnEveryApp) {
     for (uint64_t w = 0; w < 3; ++w) {
       const Workload workload = w == 0 ? failing : AppWorkload(*app, w);
       RunResult want;
-      const uint64_t retired = ReferenceRetired(app->module(), workload, 2'000'000, 0, &want);
+      const std::string label = std::string(name) + " workload " + std::to_string(w);
+      const uint64_t retired =
+          ReferenceRetired(app->module(), workload, 2'000'000, 0, &want, label);
       // The fleet's path: a monitored run of the frozen snapshot.
       GistServer server(app->module(), GistOptions{});
       server.ReportFailure(failure);
       const MonitoredRun run = RunMonitored(app->module(), server.Snapshot(), /*client_index=*/0,
                                             workload, GistOptions{}, /*run_id=*/1);
-      EXPECT_EQ(run.trace.baseline_instructions, retired) << name << " workload " << w;
-      EXPECT_EQ(run.result.failure.type, want.failure.type) << name << " workload " << w;
+      EXPECT_EQ(run.trace.baseline_instructions, retired) << label;
+      EXPECT_EQ(run.result.failure.type, want.failure.type) << label;
     }
   }
 }
@@ -550,7 +743,7 @@ bool FindCorpusFailure(const GeneratedProgram& program, Workload* workload,
   return false;
 }
 
-TEST(ClientSitesTest, RetiredCountMatchesReferencePerfCounterOnEveryFailureKind) {
+TEST(ClientSitesTest, RetiredCountMatchesReferenceCounterOnEveryFailureKind) {
   // Corpus programs cover assert, null deref, use-after-free and double
   // free; a small step budget turns one into a hang, and an injected kill
   // ends one mid-run.

@@ -53,26 +53,6 @@ TEST(MetricsRegistryTest, HistogramBucketsAreBitWidths) {
   EXPECT_EQ(hist.sum, 0 + 1 + 2 + 3 + 4 + ~0ull);
 }
 
-TEST(MetricsRegistryTest, MergeBucketsClampsWideShards) {
-  // RunStats-style pre-bucketed shard, wider than the registry's histogram:
-  // the tail must fold into the overflow bucket, not run off the array.
-  constexpr size_t kShardBuckets = Histogram::kBuckets + 4;
-  uint32_t shard[kShardBuckets] = {};
-  shard[0] = 2;
-  shard[5] = 3;
-  shard[kShardBuckets - 1] = 7;  // past the registry's last bucket
-
-  MetricsRegistry metrics;
-  metrics.MergeBuckets("engine.flush_size", shard, kShardBuckets, /*count=*/12, /*sum=*/99);
-  const Histogram* hist = metrics.histogram("engine.flush_size");
-  ASSERT_NE(hist, nullptr);
-  EXPECT_EQ(hist->buckets[0], 2u);
-  EXPECT_EQ(hist->buckets[5], 3u);
-  EXPECT_EQ(hist->buckets[Histogram::kBuckets - 1], 7u);
-  EXPECT_EQ(hist->count, 12u);
-  EXPECT_EQ(hist->sum, 99u);
-}
-
 TEST(MetricsRegistryTest, MergeAddsCountersAndHistogramsGaugesTakeOther) {
   // Shard merge is the fleet's determinism backbone: counters and histograms
   // are order-insensitive sums, gauges take the later (run-index order) shard.
@@ -144,7 +124,7 @@ TEST(MetricsRegistryTest, ToJsonExcludePrefixDropsEngineCounters) {
   MetricsRegistry metrics;
   metrics.Add("engine.bursts", 9);
   metrics.Add("vm.branches", 4);
-  metrics.Observe("engine.flush_size", 8);
+  metrics.Observe("engine.run_sizes", 8);
   const std::string filtered = metrics.ToJson("engine.");
   EXPECT_EQ(filtered.find("engine."), std::string::npos);
   EXPECT_NE(filtered.find("vm.branches"), std::string::npos);

@@ -130,7 +130,7 @@ TEST(RecorderTest, ThreadEventsLogged) {
   EXPECT_EQ(exits, 3);   // workers + main
 }
 
-TEST(SwPtTest, CountsMatchPerfCounterSemantics) {
+TEST(SwPtTest, CountsMatchRecordedEvents) {
   auto module = ParseModule(kThreadedProgram);
   ASSERT_TRUE(module.ok());
   Workload workload;
@@ -139,6 +139,18 @@ TEST(SwPtTest, CountsMatchPerfCounterSemantics) {
   Recording recording = RecordRun(**module, workload);
   EXPECT_EQ(stats.instructions, recording.instructions);
   EXPECT_EQ(stats.branches, recording.branches);
+  // The counts agree with the recorder's one-event-per-call log.
+  uint64_t instrs = 0;
+  uint64_t branches = 0;
+  uint64_t accesses = 0;
+  for (const RecordEvent& event : recording.log) {
+    instrs += event.kind == RecordEventKind::kInstr;
+    branches += event.kind == RecordEventKind::kBranch;
+    accesses += event.kind == RecordEventKind::kMemAccess;
+  }
+  EXPECT_EQ(recording.instructions, instrs);
+  EXPECT_EQ(recording.branches, branches);
+  EXPECT_EQ(recording.mem_accesses, accesses);
   EXPECT_GT(stats.branches, 0u);
   EXPECT_LT(stats.branches, stats.instructions);
 }

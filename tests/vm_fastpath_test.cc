@@ -1,8 +1,8 @@
 // Dispatch equivalence: the pre-decoded interpreter with subscription-masked,
-// batched observer dispatch (DESIGN.md §7), fused bodies for every fusable
-// block included (DESIGN.md §12), must be observationally identical to the
-// reference dispatch (one virtual call per event, hook called at every
-// instruction, no fusion). For every Table 1 app this runs the same
+// site-filtered observer dispatch (DESIGN.md §7), fused bodies for every
+// fusable block included (DESIGN.md §12), must be observationally identical
+// to the reference dispatch (every event to every subscriber, hook called at
+// every instruction, no fusion). For every Table 1 app this runs the same
 // workloads under both and asserts byte-identical PT packet streams,
 // identical watchpoint event sequences, and identical FailureReports — the
 // determinism contract of DESIGN.md §6 restated as a test. Every fusable
@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "src/apps/app.h"
+#include "src/coop/wire.h"
 #include "src/core/gist.h"
 #include "src/replay/recorder.h"
 
@@ -157,9 +158,9 @@ TEST_P(VmFastPathTest, FastPathMatchesReferenceDispatch) {
     ExpectSameTrace(ref.trace, fast.trace, label);
   }
 
-  // Recorder comparison: the unbatched full-event observer must log the same
-  // interleaved stream either way (it never opts into batching; its immediate
-  // retired subscription also keeps fused bodies disengaged — asserted).
+  // Recorder comparison: the full-event observer must log the same
+  // interleaved stream either way (its unfiltered retired subscription keeps
+  // fused bodies disengaged — asserted).
   {
     Recorder fast_recorder;
     VmOptions fast_options;
@@ -168,7 +169,7 @@ TEST_P(VmFastPathTest, FastPathMatchesReferenceDispatch) {
     Vm fast_vm(module, failing_workload, fast_options);
     const RunResult fast = fast_vm.Run();
     EXPECT_EQ(fast.stats.fused_chains, 0u)
-        << GetParam() << ": fused bodies must deopt for immediate retired subscribers";
+        << GetParam() << ": fused bodies must deopt for unfiltered retired subscribers";
 
     Recorder ref_recorder;
     VmOptions ref_options;
@@ -187,6 +188,43 @@ TEST_P(VmFastPathTest, FastPathMatchesReferenceDispatch) {
           << GetParam() << ": record log diverges at event " << i;
     }
   }
+}
+
+// The plan-only RunMonitored (the `gist diagnose` path) honours
+// GistOptions::tier: a reference run never fuses and ships the fast run's
+// trace byte for byte.
+TEST_P(VmFastPathTest, PlanOnlyRunMonitoredHonoursTier) {
+  std::unique_ptr<BugApp> app = MakeAppByName(GetParam());
+  ASSERT_NE(app, nullptr);
+  const Module& module = app->module();
+  FailureReport failure;
+  Workload failing_workload;
+  for (uint64_t run = 0; run < 400 && failure.failing_instr == kNoInstr; ++run) {
+    const Workload workload = WorkloadFor(*app, run);
+    const RunResult result = Vm(module, workload, VmOptions{}).Run();
+    if (!result.ok()) {
+      failure = result.failure;
+      failing_workload = workload;
+    }
+  }
+  ASSERT_NE(failure.failing_instr, kNoInstr) << GetParam() << ": no failing workload";
+  GistServer server(module, GistOptions{});
+  server.ReportFailure(failure);
+
+  uint64_t fast_chains = 0;
+  for (const Workload& workload : {failing_workload, WorkloadFor(*app, 1)}) {
+    GistOptions fast_options;
+    fast_options.tier = ExecTier::kFast;
+    const MonitoredRun fast = RunMonitored(module, server.plan(), workload, fast_options, 1);
+    GistOptions ref_options;
+    ref_options.tier = ExecTier::kReference;
+    const MonitoredRun ref = RunMonitored(module, server.plan(), workload, ref_options, 1);
+    EXPECT_EQ(ref.result.stats.fused_chains, 0u) << GetParam() << ": reference run fused";
+    EXPECT_EQ(SerializeRunTrace(ref.trace), SerializeRunTrace(fast.trace)) << GetParam();
+    ExpectSameResult(fast.result, ref.result, std::string(GetParam()) + " plan-only");
+    fast_chains += fast.result.stats.fused_chains;
+  }
+  EXPECT_GT(fast_chains, 0u) << GetParam() << ": fast runs never fused";
 }
 
 INSTANTIATE_TEST_SUITE_P(AllApps, VmFastPathTest,

@@ -218,7 +218,7 @@ EOF
   echo "=== [release] corpus shadow-mode identity ==="
   GIST_STATS_SHADOW=1 ./build-ci-release/gist corpus score \
     --dir build-ci-release/corpus --jobs "${JOBS}" --baseline BENCH_corpus.json \
-    --score-json build-ci-release/corpus_score_shadow.json
+    --log-level warning --score-json build-ci-release/corpus_score_shadow.json
   cmp build-ci-release/corpus_score.json build-ci-release/corpus_score_shadow.json
 }
 

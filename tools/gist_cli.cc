@@ -144,17 +144,29 @@ int Usage() {
   return 2;
 }
 
-// Applies --tier to the fleet's GistOptions; false (with a message) on an
+// Applies a --tier value (none: keep `*tier`); false (with a message) on an
 // unknown tier name.
-bool ApplyTier(const CliOptions& options, FleetOptions* fleet_options) {
-  if (options.tier.empty()) {
+bool ApplyTier(const std::string& text, ExecTier* tier) {
+  if (text.empty() || ParseExecTier(text, tier)) {
     return true;
   }
-  if (!ParseExecTier(options.tier, &fleet_options->gist.tier)) {
-    std::fprintf(stderr, "unknown tier '%s' (expected fast or ref)\n",
-                 options.tier.c_str());
+  std::fprintf(stderr, "unknown tier '%s' (expected fast or ref)\n", text.c_str());
+  return false;
+}
+
+// Applies a --log-level value (none: keep the default); false (with a
+// message) on an unknown level.
+bool ApplyLogLevel(const std::string& text) {
+  if (text.empty()) {
+    return true;
+  }
+  LogLevel level;
+  if (!ParseLogLevel(text, &level)) {
+    std::fprintf(stderr, "error: bad --log-level '%s' (want debug|info|warning|error)\n",
+                 text.c_str());
     return false;
   }
+  SetLogLevel(level);
   return true;
 }
 
@@ -421,6 +433,9 @@ int CmdDiagnose(const CliOptions& options) {
   GistOptions gist_options;
   gist_options.title = options.path;
   gist_options.store = store.get();
+  if (!ApplyTier(options.tier, &gist_options.tier)) {
+    return 2;
+  }
   GistServer server(**module, gist_options);
   server.ReportFailure(report);
   CampaignTracker campaign(options.path);
@@ -531,7 +546,7 @@ int CmdDiagnoseApp(const CliOptions& options) {
   fleet_options.gist.title = app->info().name;
   fleet_options.gist.store = store.get();
   fleet_options.recorder = &recorder;
-  if (!ApplyTier(options, &fleet_options)) {
+  if (!ApplyTier(options.tier, &fleet_options.gist.tier)) {
     return 2;
   }
   if (options.exports.wants_profiler()) {
@@ -597,7 +612,7 @@ int CmdFixApp(const CliOptions& options) {
   fleet_options.gist.title = app->info().name;
   fleet_options.gist.store = store.get();
   fleet_options.recorder = &recorder;
-  if (!ApplyTier(options, &fleet_options)) {
+  if (!ApplyTier(options.tier, &fleet_options.gist.tier)) {
     return 2;
   }
   if (options.exports.wants_profiler()) {
@@ -837,6 +852,7 @@ struct CorpusCliArgs {
   std::vector<BugFamily> families;
   uint64_t jobs = 1;
   std::string tier;
+  std::string log_level;
   bool chaos = false;
   uint64_t fleet_seed = 2015;
   uint64_t runs_per_iteration = 400;
@@ -908,6 +924,10 @@ bool ParseCorpusArgs(int argc, char** argv, CorpusCliArgs* args) {
       }
     } else if (arg == "--tier") {
       if (!next_string(&args->tier)) {
+        return false;
+      }
+    } else if (arg == "--log-level") {
+      if (!next_string(&args->log_level)) {
         return false;
       }
     } else if (arg == "--chaos") {
@@ -1062,9 +1082,7 @@ int CmdCorpusRun(const CorpusCliArgs& args, bool gate) {
 
   CorpusScoreOptions score_options;
   score_options.jobs = static_cast<uint32_t>(args.jobs);
-  if (!args.tier.empty() && !ParseExecTier(args.tier, &score_options.tier)) {
-    std::fprintf(stderr, "unknown tier '%s' (expected fast or ref)\n",
-                 args.tier.c_str());
+  if (!ApplyTier(args.tier, &score_options.tier)) {
     return 2;
   }
   if (args.chaos) {
@@ -1167,6 +1185,9 @@ int CmdCorpus(int argc, char** argv) {
   CorpusCliArgs args;
   if (!ParseCorpusArgs(argc, argv, &args)) {
     return Usage();
+  }
+  if (!ApplyLogLevel(args.log_level)) {
+    return 2;
   }
   if (sub == "gen") {
     return CmdCorpusGen(args);
@@ -1337,14 +1358,8 @@ int Main(int argc, char** argv) {
   if (!ParseArgs(argc, argv, 2, &options)) {
     return Usage();
   }
-  if (!options.log_level.empty()) {
-    LogLevel level;
-    if (!ParseLogLevel(options.log_level, &level)) {
-      std::fprintf(stderr, "error: bad --log-level '%s' (want debug|info|warning|error)\n",
-                   options.log_level.c_str());
-      return 2;
-    }
-    SetLogLevel(level);
+  if (!ApplyLogLevel(options.log_level)) {
+    return 2;
   }
   if (command == "run") {
     return CmdRun(options);
