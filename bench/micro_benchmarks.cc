@@ -336,6 +336,10 @@ struct InvariantCounters {
   // mode off this is 0; a slide back to per-build decodes makes it
   // builds x cores.
   uint64_t sketch_pt_decodes = 0;
+  // PT streams ingest walked (DESIGN.md §16): every failing-run stream plus
+  // each successful-run stream the memo had not seen under the current plan
+  // version. A memo that stops hitting pushes this up to streams uploaded.
+  uint64_t ingest_pt_walks = 0;
 };
 
 InvariantCounters MeasureInvariantCounters() {
@@ -357,6 +361,7 @@ InvariantCounters MeasureInvariantCounters() {
       recorder.metrics().counter("engine.retired_deliveries");
   counters.client_mem_deliveries = recorder.metrics().counter("engine.mem_deliveries");
   counters.sketch_pt_decodes = recorder.metrics().counter("stats.sketch_pt_decodes");
+  counters.ingest_pt_walks = recorder.metrics().counter("pt.decode.walks");
   return counters;
 }
 
@@ -463,6 +468,7 @@ std::vector<Gate> PerfSmokeGates() {
       {"client_mem_deliveries", counter(&InvariantCounters::client_mem_deliveries),
        GateKind::kExact},
       {"sketch_pt_decodes", counter(&InvariantCounters::sketch_pt_decodes), GateKind::kExact},
+      {"ingest_pt_walks", counter(&InvariantCounters::ingest_pt_walks), GateKind::kExact},
   };
 }
 

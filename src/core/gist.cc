@@ -19,6 +19,7 @@ GistServer::IngestSlots::IngestSlots(MetricsRegistry* metrics)
     : decode_packets(metrics->CounterSlot("pt.decode.packets")),
       decode_bytes(metrics->CounterSlot("pt.decode.bytes")),
       decode_tnt_bits(metrics->CounterSlot("pt.decode.tnt_bits")),
+      decode_walks(metrics->CounterSlot("pt.decode.walks")),
       rejected_foreign(metrics->CounterSlot("server.traces.rejected_foreign")),
       quarantined(metrics->CounterSlot("server.traces.quarantined")),
       accepted(metrics->CounterSlot("server.traces.accepted")),
@@ -47,6 +48,7 @@ void GistServer::ReportFailure(const FailureReport& report) {
   slice_ = *GetOrComputeSlice(options_.store, *ticfg_, module_hash_, report.failing_instr);
   ast_ = std::make_unique<AstController>(slice_, options_.initial_sigma, options_.ast_growth);
   traces_.clear();
+  stream_memo_.Clear();
   failing_summaries_.clear();
   behavior_.Reset();
   discovered_.clear();
@@ -65,6 +67,9 @@ void GistServer::Replan() {
   }
   plan_ = PlanInstrumentation(*ticfg_, window);
   ++plan_version_;
+  // The memo's digests do not depend on the plan, but a new plan makes new
+  // streams: dropping the old ones keeps the memo to the current version.
+  stream_memo_.Clear();
   metrics_.Add("ast.replans");
   metrics_.Set("ast.sigma", static_cast<int64_t>(ast_->sigma()));
   metrics_.Set("ast.window_statements", static_cast<int64_t>(window.size()));
@@ -83,10 +88,15 @@ GistServer::TraceIngest GistServer::AddTrace(RunTrace trace) {
   // rejects quarantines the whole trace (DESIGN.md §8). All cores are decoded
   // even after the first rejection: the decode-shape and error-class counters
   // must account every stream of the upload, or chaos fleets under-report
-  // exactly the traffic they were injected to produce. With an artifact
-  // store the decode itself may be a cache hit — the counters still add the
-  // (cached) stream's stats, so the metrics export is identical either way,
-  // and sketch builds later hit the same keys.
+  // exactly the traffic they were injected to produce.
+  //
+  // A successful run is read only for its branch outcomes, so its streams
+  // reduce to digests, and a stream this plan version already produced
+  // reuses its digest (DESIGN.md §16). A failing run is decoded in full:
+  // its summary walks the visits. A memo hit still adds the stream's stats,
+  // so every counter but pt.decode.walks is the same as with a fresh walk.
+  // Only a failing run's decode goes through the artifact store: a digest
+  // walk costs less than the store's full decode plus its reduction.
   //
   // Watch events are untrusted too: an instruction id outside the module
   // would index past the module's tables (refinement, replanning, the
@@ -96,21 +106,33 @@ GistServer::TraceIngest GistServer::AddTrace(RunTrace trace) {
       trace.watch_events.begin(), trace.watch_events.end(),
       [&](const WatchEvent& event) { return event.instr >= module_.num_instructions(); });
   uint64_t upload_bytes = 0;
-  std::vector<std::shared_ptr<const PtDecodeResult>> decoded;
-  decoded.reserve(trace.pt_buffers.size());
+  std::vector<std::shared_ptr<const PtDecodeResult>> decoded;  // failing runs only
+  std::vector<std::shared_ptr<const PtStreamDigest>> digests;
+  digests.reserve(trace.pt_buffers.size());
   for (size_t core = 0; core < trace.pt_buffers.size(); ++core) {
-    upload_bytes += trace.pt_buffers[core].size();
-    std::shared_ptr<const PtDecodeResult> decode = GetOrDecodePt(
-        options_.store, module_, module_hash_, static_cast<CoreId>(core), trace.pt_buffers[core]);
-    *ingest_.decode_packets += decode->stats.packets;
-    *ingest_.decode_bytes += decode->stats.bytes;
-    *ingest_.decode_tnt_bits += decode->stats.tnt_bits;
-    if (!decode->ok()) {
-      quarantine = true;
-      *ingest_.decode_errors[static_cast<size_t>(decode->error->fault)] += 1;
-    } else {
-      decoded.push_back(std::move(decode));
+    const std::vector<uint8_t>& bytes = trace.pt_buffers[core];
+    upload_bytes += bytes.size();
+    std::shared_ptr<const PtStreamDigest> digest =
+        trace.failed ? nullptr : stream_memo_.Find(bytes);
+    if (digest == nullptr) {
+      *ingest_.decode_walks += 1;
+      if (trace.failed) {
+        decoded.push_back(GetOrDecodePt(options_.store, module_, module_hash_,
+                                        static_cast<CoreId>(core), bytes));
+        digest = std::make_shared<const PtStreamDigest>(DigestOf(*decoded.back()));
+      } else {
+        digest = std::make_shared<const PtStreamDigest>(DigestPt(module_, bytes));
+        stream_memo_.Insert(bytes, digest);
+      }
     }
+    *ingest_.decode_packets += digest->stats.packets;
+    *ingest_.decode_bytes += digest->stats.bytes;
+    *ingest_.decode_tnt_bits += digest->stats.tnt_bits;
+    if (!digest->ok()) {
+      quarantine = true;
+      *ingest_.decode_errors[static_cast<size_t>(digest->error->fault)] += 1;
+    }
+    digests.push_back(std::move(digest));
   }
   if (quarantine) {
     ++quarantined_traces_;
@@ -121,13 +143,18 @@ GistServer::TraceIngest GistServer::AddTrace(RunTrace trace) {
   ingest_.upload_bytes->Observe(upload_bytes);
 
   // Streaming statistics (DESIGN.md §14): the accepted run's predictor set
-  // is extracted once right here — O(this run's events), reusing the decodes
-  // above and the same store key later sketch builds share — and folded into
-  // the running BehaviorStats keyed by run identity, so a retried upload of
-  // an already-counted run cannot double-count.
+  // is extracted once right here — O(this run's distinct branch outcomes and
+  // events), under the same store key later sketch builds share — and
+  // folded into the running BehaviorStats keyed by run identity, so a
+  // retried upload of an already-counted run cannot double-count.
+  std::vector<std::span<const uint64_t>> branch_keys;
+  branch_keys.reserve(digests.size());
+  for (const auto& digest : digests) {
+    branch_keys.emplace_back(digest->branch_keys);
+  }
   behavior_.RecordRun(
       trace.run_id,
-      *GetOrExtractTracePredictors(module_, options_.store, module_hash_, decoded, trace),
+      *GetOrExtractTracePredictors(module_, options_.store, module_hash_, branch_keys, trace),
       trace.failed);
 
   if (trace.failed) {

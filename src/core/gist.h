@@ -152,10 +152,13 @@ class GistServer {
   // bit-corrupted in production or in transit — or with a watch event naming
   // an instruction outside the module are quarantined: they never reach the
   // statistics, the sketch, or the recurrence count, so one rotten trace
-  // cannot poison an iteration's diagnosis. An accepted failing trace is
-  // also reduced to its executed-instruction bitset and per-thread
-  // positions (DESIGN.md §15), which sketch builds use to pick and lay out
-  // the reference run without re-decoding.
+  // cannot poison an iteration's diagnosis. A successful trace's streams
+  // reduce to branch-outcome digests, and a stream this plan version
+  // already walked is served from a bounded memo (DESIGN.md §16). An
+  // accepted failing trace is decoded in full and reduced to its
+  // executed-instruction bitset and per-thread positions (DESIGN.md §15),
+  // which sketch builds use to pick and lay out the reference run without
+  // re-decoding.
   //
   // Refinement (§3.2.3): statements the watchpoints caught that the static
   // slice missed are *added to the slice* — subsequent plans track them with
@@ -170,6 +173,9 @@ class GistServer {
   const std::vector<RunTrace>& traces() const { return traces_; }
   // Uploads quarantined by PT validation since the target was reported.
   uint64_t quarantined_traces() const { return quarantined_traces_; }
+  // Bytes held by the ingest stream memo (DESIGN.md §16); never above
+  // PtDigestMemo::kBudgetBytes.
+  size_t stream_memo_bytes() const { return stream_memo_.bytes(); }
 
   // Streaming behavior statistics over the accepted traces, updated at
   // ingest (DESIGN.md §14): sketch builds rank from this aggregation, and
@@ -207,6 +213,7 @@ class GistServer {
     uint64_t* decode_packets;
     uint64_t* decode_bytes;
     uint64_t* decode_tnt_bits;
+    uint64_t* decode_walks;  // streams walked; memo hits excluded
     uint64_t* decode_errors[kNumPtDecodeFaults];
     uint64_t* rejected_foreign;
     uint64_t* quarantined;
@@ -229,6 +236,9 @@ class GistServer {
   InstrumentationPlan plan_;
   uint64_t plan_version_ = 0;
   std::vector<RunTrace> traces_;
+  // Digests of the successful-run streams this plan version has walked
+  // (DESIGN.md §16); cleared on every replan.
+  PtDigestMemo stream_memo_;
   // One executed-set-and-positions summary per accepted failing trace, in
   // traces_ order (DESIGN.md §15).
   std::vector<FailingTraceSummary> failing_summaries_;

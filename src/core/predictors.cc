@@ -1,5 +1,6 @@
 #include "src/core/predictors.h"
 
+#include <algorithm>
 #include <map>
 #include <set>
 
@@ -126,29 +127,21 @@ bool TripleKind(bool w1, bool w2, bool w3, PredictorKind* out) {
 
 }  // namespace
 
-std::vector<Predictor> ExtractPredictors(const std::vector<DecodedCoreTrace>& control_flow,
+std::vector<Predictor> ExtractPredictors(const std::vector<std::span<const uint64_t>>& branch_keys,
                                          const std::vector<WatchEvent>& data_flow) {
-  std::vector<const DecodedCoreTrace*> view;
-  view.reserve(control_flow.size());
-  for (const DecodedCoreTrace& trace : control_flow) view.push_back(&trace);
-  return ExtractPredictorsViews(view, data_flow);
-}
-
-std::vector<Predictor> ExtractPredictorsViews(
-    const std::vector<const DecodedCoreTrace*>& control_flow,
-    const std::vector<WatchEvent>& data_flow) {
-  std::set<Predictor> found;
-
-  // Branch predictors from the decoded control flow.
-  for (const DecodedCoreTrace* trace : control_flow) {
-    for (const PtBranch& branch : trace->branches) {
-      Predictor predictor;
-      predictor.kind = PredictorKind::kBranch;
-      predictor.a = branch.instr;
-      predictor.taken = branch.taken;
-      found.insert(predictor);
-    }
+  // Branch predictors from the decoded control flow: the union of the
+  // per-stream key sets.
+  std::vector<uint64_t> merged;
+  for (std::span<const uint64_t> keys : branch_keys) {
+    merged.insert(merged.end(), keys.begin(), keys.end());
   }
+  if (branch_keys.size() > 1) {
+    std::sort(merged.begin(), merged.end());
+    merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
+  }
+
+  // Watch-derived predictors; every kind here sorts after kBranch.
+  std::set<Predictor> found;
 
   // Value predictors from the watchpoint log: the exact value plus its sign
   // bucket (range/inequality predicate, paper §6 future work).
@@ -216,7 +209,17 @@ std::vector<Predictor> ExtractPredictorsViews(
     }
   }
 
-  return std::vector<Predictor>(found.begin(), found.end());
+  std::vector<Predictor> predictors;
+  predictors.reserve(merged.size() + found.size());
+  for (uint64_t key : merged) {
+    Predictor predictor;
+    predictor.kind = PredictorKind::kBranch;
+    predictor.a = static_cast<InstrId>(key >> 1);
+    predictor.taken = (key & 1) != 0;
+    predictors.push_back(predictor);
+  }
+  predictors.insert(predictors.end(), found.begin(), found.end());
+  return predictors;
 }
 
 }  // namespace gist

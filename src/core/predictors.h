@@ -15,6 +15,7 @@
 #ifndef GIST_SRC_CORE_PREDICTORS_H_
 #define GIST_SRC_CORE_PREDICTORS_H_
 
+#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -65,14 +66,13 @@ struct Predictor {
 
 std::string PredictorToString(const Predictor& predictor, const Module& module);
 
-// Extracts the deduplicated predictor set of one run.
-std::vector<Predictor> ExtractPredictors(const std::vector<DecodedCoreTrace>& control_flow,
+// Extracts the deduplicated predictor set of one run from the branch-outcome
+// keys of each of its PT streams (each sorted and unique: a
+// PtStreamDigest's, or PtBranchKeys of a full decode) and its watch log.
+// Branch predictors sort first, so they are the merged keys in order; only
+// the watch-derived predictors need a set.
+std::vector<Predictor> ExtractPredictors(const std::vector<std::span<const uint64_t>>& branch_keys,
                                          const std::vector<WatchEvent>& data_flow);
-// Pointer-view flavor for callers holding shared cached decodes (named
-// distinctly: a braced-init-list argument would make an overload ambiguous).
-std::vector<Predictor> ExtractPredictorsViews(
-    const std::vector<const DecodedCoreTrace*>& control_flow,
-    const std::vector<WatchEvent>& data_flow);
 
 }  // namespace gist
 

@@ -50,15 +50,6 @@ struct LayoutEntry {
   bool discovered = false;
 };
 
-// Borrowed views over shared cached decodes, for the pointer-view overloads.
-std::vector<const DecodedCoreTrace*> TraceViews(
-    const std::vector<std::shared_ptr<const PtDecodeResult>>& decoded) {
-  std::vector<const DecodedCoreTrace*> views;
-  views.reserve(decoded.size());
-  for (const auto& result : decoded) views.push_back(&result->trace);
-  return views;
-}
-
 // Cache key for one trace's extracted predictor set: a pure function of
 // (module, PT buffers, watch log), shared by ingest and batch-path sketch
 // builds.
@@ -83,10 +74,10 @@ ArtifactKey PredictorsKey(const ContentHash& module_hash, const RunTrace& trace)
 
 std::shared_ptr<const std::vector<Predictor>> GetOrExtractTracePredictors(
     const Module& module, ArtifactStore* store, const ContentHash& module_hash,
-    const std::vector<std::shared_ptr<const PtDecodeResult>>& decoded, const RunTrace& trace) {
+    const std::vector<std::span<const uint64_t>>& branch_keys, const RunTrace& trace) {
   auto build = [&] {
     return std::make_shared<const std::vector<Predictor>>(
-        ExtractPredictorsViews(TraceViews(decoded), trace.watch_events));
+        ExtractPredictors(branch_keys, trace.watch_events));
   };
   if (store == nullptr) {
     return build();
@@ -238,9 +229,14 @@ Result<FailureSketch> BuildFailureSketch(const Module& module,
         ++quarantined;
         continue;
       }
+      std::vector<std::vector<uint64_t>> keys;
+      for (const auto& result : *decoded) {
+        keys.push_back(PtBranchKeys(result->trace));
+      }
       batch.RecordRun(trace.run_id,
-                      *GetOrExtractTracePredictors(module, options.store, options.module_hash,
-                                                   *decoded, trace),
+                      *GetOrExtractTracePredictors(
+                          module, options.store, options.module_hash,
+                          std::vector<std::span<const uint64_t>>(keys.begin(), keys.end()), trace),
                       trace.failed);
       if (trace.failed) {
         batch_summaries.push_back(SummarizeFailingTrace(module, i, *decoded));

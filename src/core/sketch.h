@@ -27,6 +27,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -161,13 +162,14 @@ struct SketchOptions {
   bool shadow_check = false;
 };
 
-// Extracts one trace's deduplicated predictor set from its decoded PT
-// streams and watch log, through the artifact store when one is attached.
-// Pure function of (module, PT buffers, watch log); ingest and sketch builds
-// share the same store key, so whichever runs first pays the extraction.
+// Extracts one trace's deduplicated predictor set from the branch-outcome
+// keys of its PT streams and its watch log, through the artifact store when
+// one is attached. Pure function of (module, PT buffers, watch log); ingest
+// and sketch builds share the same store key, so whichever runs first pays
+// the extraction.
 std::shared_ptr<const std::vector<Predictor>> GetOrExtractTracePredictors(
     const Module& module, ArtifactStore* store, const ContentHash& module_hash,
-    const std::vector<std::shared_ptr<const PtDecodeResult>>& decoded, const RunTrace& trace);
+    const std::vector<std::span<const uint64_t>>& branch_keys, const RunTrace& trace);
 
 // Builds a sketch from the monitored runs. `window` is the slice portion AsT
 // currently tracks; `traces` are all collected run traces (at least one

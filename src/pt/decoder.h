@@ -16,8 +16,10 @@
 #ifndef GIST_SRC_PT_DECODER_H_
 #define GIST_SRC_PT_DECODER_H_
 
+#include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -72,6 +74,7 @@ struct PtDecodeError {
 
   // "<fault> at offset <n>: <message>" — the wrapper API's error text.
   std::string Format() const;
+  bool operator==(const PtDecodeError&) const = default;
 };
 
 // Stream-shape telemetry accumulated while decoding (DESIGN.md §9): packet
@@ -84,6 +87,8 @@ struct PtDecodeStats {
   uint64_t tnt_bits = 0;     // conditional-branch outcomes carried
   uint64_t tip_packets = 0;
   uint64_t toggle_packets = 0;  // PGE + PGD: tracing on/off edges
+
+  bool operator==(const PtDecodeStats&) const = default;
 };
 
 // Decode outcome: the visits/branches recovered before the first fault (the
@@ -103,6 +108,63 @@ PtDecodeResult DecodePt(const Module& module, CoreId core, const std::vector<uin
 // structured error into a Result message.
 Result<DecodedCoreTrace> DecodePtStream(const Module& module, CoreId core,
                                         const std::vector<uint8_t>& bytes);
+
+// One conditional-branch outcome as a sortable key: (instr << 1) | taken.
+// Keys order by statement, then outcome, exactly as branch predictors do.
+inline uint64_t PtBranchKey(InstrId instr, bool taken) {
+  return (uint64_t{instr} << 1) | (taken ? 1u : 0u);
+}
+
+// The sorted, unique branch-outcome keys of a decoded trace.
+std::vector<uint64_t> PtBranchKeys(const DecodedCoreTrace& trace);
+
+// What ingest keeps of a successful run's PT stream (DESIGN.md §16): the
+// decode's stream shape and error, plus the set of branch outcomes — all the
+// statistics read of a run that is never laid out in a sketch.
+struct PtStreamDigest {
+  PtDecodeStats stats;
+  std::optional<PtDecodeError> error;
+  std::vector<uint64_t> branch_keys;  // sorted, unique PtBranchKey values
+
+  bool ok() const { return !error.has_value(); }
+  bool operator==(const PtStreamDigest&) const = default;
+};
+
+// Walks `bytes` exactly as DecodePt does — same validation, same faults and
+// offsets — but records neither visits nor per-bit branches. Never
+// CHECK-fails, whatever the bytes.
+PtStreamDigest DigestPt(const Module& module, const std::vector<uint8_t>& bytes);
+
+// The digest of an already materialized decode.
+PtStreamDigest DigestOf(const PtDecodeResult& result);
+
+// Digests of streams already walked, keyed by the full stream bytes
+// (DESIGN.md §16). A lookup compares every byte, never just a hash: uploads
+// are untrusted, so one client's stream must not stand in for another's.
+// Memory stays within kBudgetBytes: an insert that would exceed it first
+// drops every entry.
+class PtDigestMemo {
+ public:
+  static constexpr size_t kBudgetBytes = size_t{1} << 20;
+
+  // The digest memoized for exactly these bytes, or null.
+  std::shared_ptr<const PtStreamDigest> Find(const std::vector<uint8_t>& bytes) const;
+  void Insert(const std::vector<uint8_t>& bytes, std::shared_ptr<const PtStreamDigest> digest);
+  void Clear();
+
+  // Heap held, counted from the stored types' sizes: stream bytes, branch
+  // keys, error messages and each entry's node, bucket and digest blocks.
+  size_t bytes() const { return bytes_; }
+
+ private:
+  struct StreamHash {
+    size_t operator()(const std::vector<uint8_t>& bytes) const;
+  };
+
+  std::unordered_map<std::vector<uint8_t>, std::shared_ptr<const PtStreamDigest>, StreamHash>
+      entries_;
+  size_t bytes_ = 0;
+};
 
 // Executed-instruction bitset indexed by InstrId: bit (id % 64) of word
 // (id / 64). Instruction ids are dense (Module::num_instructions()), so this

@@ -51,6 +51,37 @@ std::string StrFormat(const char* format, ...) {
   return out;
 }
 
+bool ParseU64(std::string_view text, uint64_t max, uint64_t* out) {
+  if (text.empty()) {
+    return false;
+  }
+  uint64_t value = 0;
+  for (char c : text) {
+    if (c < '0' || c > '9') {
+      return false;
+    }
+    const uint64_t digit = static_cast<uint64_t>(c - '0');
+    if (digit > max || value > (max - digit) / 10) {
+      return false;  // value * 10 + digit > max
+    }
+    value = value * 10 + digit;
+  }
+  *out = value;
+  return true;
+}
+
+bool ParseI64(std::string_view text, int64_t* out) {
+  constexpr uint64_t kMaxPositive = static_cast<uint64_t>(INT64_MAX);
+  const bool negative = !text.empty() && text[0] == '-';
+  uint64_t magnitude = 0;
+  if (!ParseU64(negative ? text.substr(1) : text, kMaxPositive + (negative ? 1 : 0),
+                &magnitude)) {
+    return false;
+  }
+  *out = negative ? static_cast<int64_t>(0 - magnitude) : static_cast<int64_t>(magnitude);
+  return true;
+}
+
 uint64_t HashBytes(const void* data, size_t size) {
   const auto* bytes = static_cast<const unsigned char*>(data);
   uint64_t hash = 0xcbf29ce484222325ULL;

@@ -28,6 +28,10 @@
 
 namespace gist {
 
+// The most workers a command line may ask for. Callers that take a worker
+// count from outside reject anything larger before a pool exists.
+inline constexpr uint32_t kMaxPoolThreads = 256;
+
 class ThreadPool {
  public:
   // `num_threads == 0` uses the hardware concurrency; `1` runs inline.

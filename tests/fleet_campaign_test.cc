@@ -97,15 +97,18 @@ CampaignFleet RunCampaignFleet(const BugApp& app, FleetOptions options) {
   BehaviorStats replay;
   for (const RunTrace& trace : server.traces()) {
     // Server-accepted traces are guaranteed decodable (ingest validation).
-    std::vector<std::shared_ptr<const PtDecodeResult>> decoded;
+    // Full decodes, not ingest's digests: the replay must not share the path
+    // it checks.
+    std::vector<std::vector<uint64_t>> keys;
     for (size_t core = 0; core < trace.pt_buffers.size(); ++core) {
-      decoded.push_back(GetOrDecodePt(nullptr, app.module(), ContentHash{},
-                                      static_cast<CoreId>(core), trace.pt_buffers[core]));
+      keys.push_back(PtBranchKeys(
+          DecodePt(app.module(), static_cast<CoreId>(core), trace.pt_buffers[core]).trace));
     }
-    replay.RecordRun(
-        trace.run_id,
-        *GetOrExtractTracePredictors(app.module(), nullptr, ContentHash{}, decoded, trace),
-        trace.failed);
+    replay.RecordRun(trace.run_id,
+                     *GetOrExtractTracePredictors(
+                         app.module(), nullptr, ContentHash{},
+                         std::vector<std::span<const uint64_t>>(keys.begin(), keys.end()), trace),
+                     trace.failed);
   }
   out.batch_fingerprint = replay.Fingerprint();
   return out;

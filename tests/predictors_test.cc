@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
+#include <vector>
 
 #include "src/core/predictors.h"
 #include "src/ir/builder.h"
@@ -60,10 +62,43 @@ TEST(PredictorsTest, SignBucketsCollapseDistinctValues) {
 TEST(PredictorsTest, BranchPredictorsFromDecodedTraces) {
   DecodedCoreTrace trace;
   trace.branches = {PtBranch{1, 7, true}, PtBranch{1, 7, true}, PtBranch{2, 7, false}};
-  auto predictors = ExtractPredictors({trace}, {});
+  auto predictors = ExtractPredictors({PtBranchKeys(trace)}, {});
   // Deduplicated: (7, taken) and (7, not-taken).
   ASSERT_EQ(predictors.size(), 2u);
   EXPECT_TRUE(HasKind(predictors, PredictorKind::kBranch));
+}
+
+// Branch keys from several streams merge into one sorted prefix, and the
+// whole vector equals the ordered set of every predictor, as if each branch
+// bit and each watch-derived predictor were inserted into one std::set.
+TEST(PredictorsTest, MergedStreamsMatchOrderedSetOfAllPredictors) {
+  DecodedCoreTrace core0;
+  core0.branches = {PtBranch{1, 9, false}, PtBranch{1, 3, true}, PtBranch{1, 9, false}};
+  DecodedCoreTrace core1;
+  core1.branches = {PtBranch{2, 3, false}, PtBranch{2, 9, false}, PtBranch{2, 12, true}};
+  std::vector<WatchEvent> log = {
+      Access(0, 1, 4, 100, 7, true),
+      Access(1, 2, 5, 100, 7, false),
+      Access(2, 1, 6, 100, -2, false),
+  };
+  std::set<Predictor> oracle;
+  for (const DecodedCoreTrace* core : {&core0, &core1}) {
+    for (const PtBranch& branch : core->branches) {
+      Predictor predictor;
+      predictor.a = branch.instr;
+      predictor.taken = branch.taken;
+      oracle.insert(predictor);
+    }
+  }
+  for (const Predictor& predictor : ExtractPredictors({}, log)) {
+    oracle.insert(predictor);
+  }
+  const std::vector<Predictor> got =
+      ExtractPredictors({PtBranchKeys(core0), PtBranchKeys(core1)}, log);
+  EXPECT_EQ(got, std::vector<Predictor>(oracle.begin(), oracle.end()));
+  EXPECT_EQ(std::count_if(got.begin(), got.end(),
+                          [](const Predictor& p) { return p.kind == PredictorKind::kBranch; }),
+            4);
 }
 
 TEST(PredictorsTest, WrPairPattern) {

@@ -2,7 +2,8 @@
 // streams arrive from production clients over a lossy wire, so EVERY byte
 // string — truncated, bit-flipped, or outright garbage — must produce either
 // a clean decode or a structured PtDecodeError. Nothing here may crash,
-// CHECK-abort, hang, or leak an unbounded walk.
+// CHECK-abort, hang, or leak an unbounded walk. The ingest digest walk
+// (DigestPt) must agree with the full decode on every one of them.
 
 #include <gtest/gtest.h>
 
@@ -78,10 +79,19 @@ Corpus MakeCorpus(uint64_t seed) {
   return corpus;
 }
 
+// The digest walk (DESIGN.md §16) agrees with the full decode on every
+// byte string: same stats, same fault and offset, same branch outcomes.
+void ExpectDigestAgrees(const Module& module, const std::vector<uint8_t>& bytes,
+                        const PtDecodeResult& result, const std::string& what) {
+  const PtStreamDigest digest = DigestPt(module, bytes);
+  EXPECT_TRUE(digest == DigestOf(result)) << what;
+}
+
 // The decoder returned: the outcome is either clean or a well-formed error.
 void ExpectStructured(const Module& module, const std::vector<uint8_t>& bytes,
                       const std::string& what) {
   const PtDecodeResult result = DecodePt(module, /*core=*/0, bytes);
+  ExpectDigestAgrees(module, bytes, result, what);
   if (!result.ok()) {
     EXPECT_LE(result.error->offset, bytes.size()) << what;
     EXPECT_FALSE(result.error->message.empty()) << what;
@@ -143,6 +153,7 @@ TEST(PtMalformedTest, UnknownHeaderIsMalformedPacket) {
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.error->fault, PtDecodeFault::kMalformedPacket);
   EXPECT_EQ(result.error->offset, 0u);
+  ExpectDigestAgrees(*corpus.module, bytes, result, "unknown header");
 }
 
 TEST(PtMalformedTest, BadIpPayloadIsStructured) {
@@ -153,6 +164,7 @@ TEST(PtMalformedTest, BadIpPayloadIsStructured) {
   const PtDecodeResult result = DecodePt(*corpus.module, 0, buffer.bytes());
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.error->fault, PtDecodeFault::kBadIp);
+  ExpectDigestAgrees(*corpus.module, buffer.bytes(), result, "bad IP");
 }
 
 TEST(PtMalformedTest, TntWithNoWalkerIsProtocolViolation) {
@@ -163,6 +175,7 @@ TEST(PtMalformedTest, TntWithNoWalkerIsProtocolViolation) {
   const PtDecodeResult result = DecodePt(*corpus.module, 0, buffer.bytes());
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.error->fault, PtDecodeFault::kProtocol);
+  ExpectDigestAgrees(*corpus.module, buffer.bytes(), result, "TNT without walker");
 }
 
 TEST(PtMalformedTest, RunawayWalkIsCutOff) {
@@ -185,6 +198,7 @@ spin:
   const PtDecodeResult result = DecodePt(**module, 0, buffer.bytes());
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.error->fault, PtDecodeFault::kRunawayWalk);
+  ExpectDigestAgrees(**module, buffer.bytes(), result, "runaway walk");
 }
 
 TEST(PtMalformedTest, SalvagedPrefixSurvivesTrailingGarbage) {
@@ -195,6 +209,7 @@ TEST(PtMalformedTest, SalvagedPrefixSurvivesTrailingGarbage) {
     std::vector<uint8_t> damaged = stream;
     damaged.push_back(0xfe);  // unknown header after a fully valid stream
     const PtDecodeResult result = DecodePt(*corpus.module, 0, damaged);
+    ExpectDigestAgrees(*corpus.module, damaged, result, "trailing garbage");
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.error->fault, PtDecodeFault::kMalformedPacket);
     EXPECT_EQ(result.error->offset, stream.size());

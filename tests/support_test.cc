@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <string>
 
 #include "src/support/logging.h"
 #include "src/support/result.h"
 #include "src/support/rng.h"
 #include "src/support/str.h"
+#include "src/support/thread_pool.h"
 
 namespace gist {
 namespace {
@@ -163,6 +166,56 @@ TEST(StrTest, HashBytesStable) {
   const uint64_t h3 = HashBytes("abd", 3);
   EXPECT_EQ(h1, h2);
   EXPECT_NE(h1, h3);
+}
+
+TEST(StrTest, ParseU64AcceptsPlainDecimalInRange) {
+  uint64_t value = 7;
+  EXPECT_TRUE(ParseU64("0", UINT64_MAX, &value));
+  EXPECT_EQ(value, 0u);
+  EXPECT_TRUE(ParseU64("0042", UINT64_MAX, &value));
+  EXPECT_EQ(value, 42u);
+  EXPECT_TRUE(ParseU64("18446744073709551615", UINT64_MAX, &value));
+  EXPECT_EQ(value, UINT64_MAX);
+  EXPECT_TRUE(ParseU64("256", 256, &value));
+  EXPECT_EQ(value, 256u);
+}
+
+TEST(StrTest, ParseU64RejectsGarbageSignsAndOverflow) {
+  uint64_t value = 7;
+  for (const char* text : {"", "abc", "12x", "1x", "x1", " 1", "1 ", "-1", "+1", "1.5", "0x10",
+                           "18446744073709551616", "99999999999999999999"}) {
+    EXPECT_FALSE(ParseU64(text, UINT64_MAX, &value)) << text;
+  }
+  EXPECT_FALSE(ParseU64("3", 2, &value));
+  EXPECT_EQ(value, 7u);  // untouched on failure
+}
+
+TEST(StrTest, ParseU64EnforcesTheJobsCeiling) {
+  // Checked here, not by launching a command: a command that reached the
+  // pool with this value would start that many threads.
+  uint64_t jobs = 0;
+  EXPECT_TRUE(ParseU64(std::to_string(kMaxPoolThreads), kMaxPoolThreads, &jobs));
+  EXPECT_EQ(jobs, kMaxPoolThreads);
+  EXPECT_FALSE(ParseU64(std::to_string(kMaxPoolThreads + 1), kMaxPoolThreads, &jobs));
+  EXPECT_FALSE(ParseU64("4294967295", kMaxPoolThreads, &jobs));
+  EXPECT_FALSE(ParseU64("18446744073709551615", kMaxPoolThreads, &jobs));
+  EXPECT_EQ(jobs, kMaxPoolThreads);
+}
+
+TEST(StrTest, ParseI64) {
+  int64_t value = 7;
+  EXPECT_TRUE(ParseI64("-3", &value));
+  EXPECT_EQ(value, -3);
+  EXPECT_TRUE(ParseI64("12", &value));
+  EXPECT_EQ(value, 12);
+  EXPECT_TRUE(ParseI64("-9223372036854775808", &value));
+  EXPECT_EQ(value, INT64_MIN);
+  EXPECT_TRUE(ParseI64("9223372036854775807", &value));
+  EXPECT_EQ(value, INT64_MAX);
+  for (const char* text : {"", "-", "--1", "+1", "1x", "9223372036854775808",
+                           "-9223372036854775809"}) {
+    EXPECT_FALSE(ParseI64(text, &value)) << text;
+  }
 }
 
 TEST(StrTest, Padding) {

@@ -18,8 +18,9 @@
 //       List the bundled bug reproductions.
 //   gist diagnose-app <name> [--fleet-seed N] [--jobs N]
 //       Run the cooperative fleet on a bundled bug and print its sketch.
-//       --jobs picks the worker-thread count (0 = all cores); the result is
-//       identical for every value.
+//       --jobs picks the worker-thread count (0 = all cores, at most 256);
+//       the result is identical for every value. A numeric flag that is not
+//       a plain decimal number in range is a usage error (exit 2).
 //   gist fix-app <name> [--fleet-seed N] [--jobs N]
 //       Diagnose a bundled bug, synthesize a fix from its sketch, and
 //       validate the fix against production workloads.
@@ -78,6 +79,7 @@
 #include "src/support/logging.h"
 #include "src/support/rng.h"
 #include "src/support/str.h"
+#include "src/support/thread_pool.h"
 #include "src/transform/fix_synthesis.h"
 
 namespace gist {
@@ -194,12 +196,8 @@ bool ExportCacheStats(const ArtifactStore* store, const CliOptions& options) {
 bool ParseArgs(int argc, char** argv, int first, CliOptions* options) {
   for (int i = first; i < argc; ++i) {
     const std::string_view arg = argv[i];
-    auto next_value = [&](uint64_t* out) {
-      if (i + 1 >= argc) {
-        return false;
-      }
-      *out = std::strtoull(argv[++i], nullptr, 10);
-      return true;
+    auto next_value = [&](uint64_t* out, uint64_t max = UINT64_MAX) {
+      return i + 1 < argc && ParseU64(argv[++i], max, out);
     };
     switch (ParseTelemetryExportFlag(argc, argv, &i, &options->exports)) {
       case TelemetryFlagParse::kConsumed:
@@ -222,7 +220,7 @@ bool ParseArgs(int argc, char** argv, int first, CliOptions* options) {
         return false;
       }
     } else if (arg == "--jobs") {
-      if (!next_value(&options->jobs)) {
+      if (!next_value(&options->jobs, kMaxPoolThreads)) {
         return false;
       }
     } else if (arg == "--inputs") {
@@ -230,7 +228,11 @@ bool ParseArgs(int argc, char** argv, int first, CliOptions* options) {
         return false;
       }
       for (std::string_view piece : SplitNonEmpty(argv[++i], ',')) {
-        options->inputs.push_back(std::strtoll(std::string(piece).c_str(), nullptr, 10));
+        int64_t input = 0;
+        if (!ParseI64(piece, &input)) {
+          return false;
+        }
+        options->inputs.push_back(input);
       }
     } else if (arg == "--log-level") {
       if (i + 1 >= argc) {
@@ -271,14 +273,30 @@ bool ParseArgs(int argc, char** argv, int first, CliOptions* options) {
   return !options->path.empty();
 }
 
-Result<std::unique_ptr<Module>> LoadProgram(const std::string& path) {
-  std::ifstream file(path);
-  if (!file) {
-    return Error("cannot open " + path);
+// Reads `path` into `*bytes`; false when it cannot be opened or read (a
+// directory opens but does not read).
+bool ReadFileBytes(const std::string& path, std::string* bytes) {
+  std::FILE* file = std::fopen(path.c_str(), "rb");
+  if (file == nullptr) {
+    return false;
   }
-  std::ostringstream text;
-  text << file.rdbuf();
-  return ParseModule(text.str());
+  bytes->clear();
+  char buffer[1 << 14];
+  size_t read = 0;
+  while ((read = std::fread(buffer, 1, sizeof(buffer), file)) > 0) {
+    bytes->append(buffer, read);
+  }
+  const bool ok = std::ferror(file) == 0;
+  std::fclose(file);
+  return ok;
+}
+
+Result<std::unique_ptr<Module>> LoadProgram(const std::string& path) {
+  std::string text;
+  if (!ReadFileBytes(path, &text)) {
+    return Error("cannot read " + path);
+  }
+  return ParseModule(text);
 }
 
 Workload MakeWorkload(const CliOptions& options, uint64_t seed) {
@@ -682,12 +700,15 @@ int CmdProfDiff(int argc, char** argv) {
       if (i + 1 >= argc) {
         return Usage();
       }
-      diff_options.top_n = static_cast<uint32_t>(std::strtoull(argv[++i], nullptr, 10));
-    } else if (arg == "--max-drift-permille") {
-      if (i + 1 >= argc) {
+      uint64_t top_n = 0;
+      if (!ParseU64(argv[++i], UINT32_MAX, &top_n)) {
         return Usage();
       }
-      diff_options.max_drift_permille = std::strtoull(argv[++i], nullptr, 10);
+      diff_options.top_n = static_cast<uint32_t>(top_n);
+    } else if (arg == "--max-drift-permille") {
+      if (i + 1 >= argc || !ParseU64(argv[++i], UINT64_MAX, &diff_options.max_drift_permille)) {
+        return Usage();
+      }
     } else if (!arg.empty() && arg[0] == '-') {
       return Usage();
     } else {
@@ -879,12 +900,8 @@ bool ParseCorpusArgs(int argc, char** argv, CorpusCliArgs* args) {
       case TelemetryFlagParse::kNotTelemetry:
         break;
     }
-    auto next_value = [&](uint64_t* out) {
-      if (i + 1 >= argc) {
-        return false;
-      }
-      *out = std::strtoull(argv[++i], nullptr, 10);
-      return true;
+    auto next_value = [&](uint64_t* out, uint64_t max = UINT64_MAX) {
+      return i + 1 < argc && ParseU64(argv[++i], max, out);
     };
     auto next_string = [&](std::string* out) {
       if (i + 1 >= argc) {
@@ -919,7 +936,7 @@ bool ParseCorpusArgs(int argc, char** argv, CorpusCliArgs* args) {
         args->families.push_back(family);
       }
     } else if (arg == "--jobs") {
-      if (!next_value(&args->jobs)) {
+      if (!next_value(&args->jobs, kMaxPoolThreads)) {
         return false;
       }
     } else if (arg == "--tier") {
@@ -1000,18 +1017,6 @@ int CmdCorpusGen(const CorpusCliArgs& args) {
   std::printf("wrote %zu programs (seed %llu) to %s\n", programs.size(),
               static_cast<unsigned long long>(args.seed), args.dir.c_str());
   return 0;
-}
-
-// Reads `path` into `*bytes`; false when unreadable.
-bool ReadFileBytes(const std::string& path, std::string* bytes) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) {
-    return false;
-  }
-  std::ostringstream text;
-  text << file.rdbuf();
-  *bytes = text.str();
-  return true;
 }
 
 // Regenerates the corpus `dir` holds and byte-verifies every on-disk
