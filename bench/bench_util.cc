@@ -8,7 +8,6 @@
 #include <string_view>
 
 #include "src/analysis/slicer.h"
-#include "src/cache/artifact_store.h"
 #include "src/core/instrumentation.h"
 #include "src/support/str.h"
 
@@ -42,15 +41,10 @@ std::string FormatMinSec(double seconds) {
 }
 
 AppFleetOutcome RunAppFleet(const std::string& name, const FleetOptions& options) {
-  std::unique_ptr<BugApp> app = MakeAppByName(name);
-  GIST_CHECK(app != nullptr) << "unknown app " << name;
-  AppFleetOutcome outcome = RunAppFleetOn(*app, options);
-  outcome.app = std::move(app);
-  return outcome;
-}
-
-AppFleetOutcome RunAppFleetOn(BugApp& app, const FleetOptions& options, bool measure_offline) {
   AppFleetOutcome outcome;
+  outcome.app = MakeAppByName(name);
+  GIST_CHECK(outcome.app != nullptr) << "unknown app " << name;
+  BugApp& app = *outcome.app;
 
   FleetOptions fleet_options = options;
   fleet_options.gist.title =
@@ -75,7 +69,7 @@ AppFleetOutcome RunAppFleetOn(BugApp& app, const FleetOptions& options, bool mea
 
   // Offline analysis cost: slicing + instrumentation planning from scratch,
   // wall-clock (the paper's parenthesized per-bug time).
-  if (measure_offline && outcome.fleet.first_failure_found) {
+  if (outcome.fleet.first_failure_found) {
     const auto start = std::chrono::steady_clock::now();
     Ticfg ticfg(app.module());
     const StaticSlice slice =
@@ -102,69 +96,6 @@ const std::vector<std::string>& Table1Apps() {
       "apache-1", "apache-2", "apache-3",    "apache-4", "cppcheck-1", "cppcheck-2",
       "curl",     "transmission", "sqlite",  "memcached", "pbzip2"};
   return kApps;
-}
-
-WarmStartMeasurement MeasureWarmStartSpeedup(uint32_t jobs) {
-  FleetOptions options = DefaultBenchFleetOptions();
-  options.jobs = jobs;
-
-  std::vector<std::unique_ptr<BugApp>> apps;
-  for (const std::string& name : Table1Apps()) {
-    apps.push_back(MakeAppByName(name));
-    GIST_CHECK(apps.back() != nullptr) << "unknown app " << name;
-  }
-
-  // Untimed warm-up sweep: pages in code and faults in the modules so the
-  // timed comparisons isolate the artifact store, not first-touch cost.
-  for (auto& app : apps) {
-    (void)RunAppFleetOn(*app, options);
-  }
-
-  auto sweep = [&](const FleetOptions& sweep_options, std::vector<AppFleetOutcome>* outcomes) {
-    const auto start = std::chrono::steady_clock::now();
-    for (auto& app : apps) {
-      outcomes->push_back(RunAppFleetOn(*app, sweep_options, /*measure_offline=*/false));
-    }
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  };
-
-  // One sweep is only tens of milliseconds; repeat with a fresh store per
-  // repetition and accumulate wall-clock so timer noise cannot dominate the
-  // ratio.
-  constexpr int kRepetitions = 3;
-  WarmStartMeasurement measurement;
-  for (int rep = 0; rep < kRepetitions; ++rep) {
-    ArtifactStore store;  // in-memory tier only, empty: this rep's cold start
-    FleetOptions cached = options;
-    cached.gist.store = &store;
-
-    std::vector<AppFleetOutcome> uncached;
-    std::vector<AppFleetOutcome> cold;
-    std::vector<AppFleetOutcome> warm;
-    measurement.uncached_seconds += sweep(options, &uncached);  // store off
-    (void)sweep(cached, &cold);                             // populates the store
-    const uint64_t cold_hits = store.Snapshot().Total().hits();
-    measurement.warm_seconds += sweep(cached, &warm);
-    measurement.warm_hits += store.Snapshot().Total().hits() - cold_hits;
-
-    // The store must be invisible in results: every cached outcome — cold or
-    // warm — equals its uncached counterpart exactly.
-    for (size_t i = 0; i < uncached.size(); ++i) {
-      for (const std::vector<AppFleetOutcome>* cached_outcomes : {&cold, &warm}) {
-        const AppFleetOutcome& other = (*cached_outcomes)[i];
-        GIST_CHECK(uncached[i].fleet.failure_recurrences == other.fleet.failure_recurrences);
-        GIST_CHECK(uncached[i].fleet.root_cause_found == other.fleet.root_cause_found);
-        GIST_CHECK(uncached[i].fleet.sim_seconds == other.fleet.sim_seconds);
-        GIST_CHECK(uncached[i].fleet.sigma_final == other.fleet.sigma_final);
-        GIST_CHECK(uncached[i].sketch_instrs == other.sketch_instrs);
-        GIST_CHECK(uncached[i].accuracy.overall == other.accuracy.overall);
-      }
-    }
-  }
-  measurement.speedup = measurement.warm_seconds > 0.0
-                            ? measurement.uncached_seconds / measurement.warm_seconds
-                            : 0.0;
-  return measurement;
 }
 
 BreakdownResult MeasureBreakdown(const std::string& name, const FleetOptions& options,

@@ -46,33 +46,8 @@ uint32_t ParseJobsFlag(int argc, char** argv);
 // root-cause check is the app's own ground truth.
 AppFleetOutcome RunAppFleet(const std::string& name, const FleetOptions& options);
 
-// Like RunAppFleet but against a caller-owned live app (`outcome.app` stays
-// null). Warm-start measurements need this: memory-tier artifact-store
-// entries borrow from the app's Module, so the cold and warm passes must run
-// against the same live instance (the long-lived-server model, DESIGN.md §11).
-// `measure_offline` re-runs slicing + planning from scratch under a wall
-// clock to fill `offline_seconds`; sweeps that time the campaign itself pass
-// false so this harness instrumentation stays out of their numbers.
-AppFleetOutcome RunAppFleetOn(BugApp& app, const FleetOptions& options,
-                              bool measure_offline = true);
-
-// The Table 1 app list, shared by the sweep benches and the warm-start gate.
+// The Table 1 app list, shared by the sweep benches.
 const std::vector<std::string>& Table1Apps();
-
-// Warm-start speedup on the Table 1 sweep: per repetition, a store-off sweep
-// (timed: the uncached baseline), a cold sweep against a fresh in-memory
-// artifact store (untimed: populates it), and a warm sweep against the now-
-// populated store, all on the same live apps. CHECK-fails if any cached
-// outcome differs from its uncached counterpart (the store must be invisible
-// in results). `speedup` is uncached/warm wall-clock — the end-to-end win of
-// handing a campaign a warm store over running with none.
-struct WarmStartMeasurement {
-  double uncached_seconds = 0.0;
-  double warm_seconds = 0.0;
-  double speedup = 0.0;
-  uint64_t warm_hits = 0;  // store hits during the warm sweeps alone
-};
-WarmStartMeasurement MeasureWarmStartSpeedup(uint32_t jobs);
 
 // Stage-limited accuracy (Fig. 10):
 //   static-only: the sketch is the raw AsT window of the static slice;

@@ -23,7 +23,6 @@
 #include "src/pt/decoder.h"
 #include "src/pt/tracer.h"
 #include "src/support/rng.h"
-#include "src/support/str.h"
 #include "src/vm/vm.h"
 
 namespace gist {
@@ -385,19 +384,9 @@ bool ParsePerfSmokeStrictFlag(int argc, char** argv) {
   return false;
 }
 
-// One measurement of a perf-smoke key. A non-empty `failure` fails the gate
-// whatever the baseline says; `detail` is printed next to the value.
-struct Reading {
-  explicit Reading(double measured) : value(measured) {}
-
-  double value;
-  std::string failure;
-  std::string detail;
-};
-
 // How a measurement must relate to its committed BENCH_interp.json baseline.
 enum class GateKind {
-  kFloor,        // measured >= max(floor_min, baseline * tolerance)
+  kFloor,        // measured >= baseline * tolerance
   kCeiling,      // measured <= baseline * tolerance
   kAbsCeiling,   // measured <= tolerance; reads no baseline
   kExact,        // measured == baseline: a deterministic work count
@@ -405,10 +394,9 @@ enum class GateKind {
 
 struct Gate {
   const char* key;
-  std::function<Reading()> measure;
+  std::function<double()> measure;
   GateKind kind;
   double tolerance = 0.0;
-  double floor_min = 0.0;  // kFloor only
 };
 
 // The perf-smoke table: every key `--emit-json` writes and `--perf-smoke`
@@ -423,38 +411,22 @@ std::vector<Gate> PerfSmokeGates() {
       if (!counters->has_value()) {
         *counters = MeasureInvariantCounters();
       }
-      return Reading(static_cast<double>((**counters).*field));
+      return static_cast<double>((**counters).*field);
     };
   };
   return {
       // Interpreter throughput: fail on a >30% regression.
-      {"vm_interp_steps_per_sec", [] { return Reading(MeasureVmStepsPerSecond()); },
-       GateKind::kFloor, 0.7},
+      {"vm_interp_steps_per_sec", [] { return MeasureVmStepsPerSecond(); }, GateKind::kFloor,
+       0.7},
       // Hot-path profiler (DESIGN.md §10): the design target is <= 10%
       // slowdown; the ceiling allows 25%. The ratio is clamped to >= 1.0 at
       // measurement, so only slowdowns can fail.
-      {"vm_profiler_overhead_ratio", [] { return Reading(MeasureProfilerOverheadRatio()); },
-       GateKind::kAbsCeiling, 1.25},
+      {"vm_profiler_overhead_ratio", MeasureProfilerOverheadRatio, GateKind::kAbsCeiling, 1.25},
       // Streaming statistics (DESIGN.md §14): per-update cost within 2x of
       // the baseline. An asymptotic regression (per-run work growing with
       // accumulated state) overshoots by orders of magnitude.
-      {"stats_incremental_update_ns",
-       [] { return Reading(MeasureStatsIncrementalUpdateNs()); }, GateKind::kCeiling, 2.0},
-      // Artifact store (DESIGN.md §11): the warm sweep must keep paying for
-      // itself, and a zero-hit warm sweep fails outright.
-      {"vm_warm_start_speedup",
-       [] {
-         const WarmStartMeasurement warm = MeasureWarmStartSpeedup(/*jobs=*/1);
-         Reading reading(warm.speedup);
-         reading.detail = StrFormat("uncached %.3fs, warm %.3fs, %llu warm hits",
-                                    warm.uncached_seconds, warm.warm_seconds,
-                                    static_cast<unsigned long long>(warm.warm_hits));
-         if (warm.warm_hits == 0) {
-           reading.failure = "warm sweep had zero cache hits";
-         }
-         return reading;
-       },
-       GateKind::kFloor, 0.7, 1.10},
+      {"stats_incremental_update_ns", [] { return MeasureStatsIncrementalUpdateNs(); },
+       GateKind::kCeiling, 2.0},
       {"obs_instructions_retired", counter(&InvariantCounters::instructions_retired),
        GateKind::kExact},
       {"obs_pt_packets_decoded", counter(&InvariantCounters::pt_packets_decoded),
@@ -488,40 +460,35 @@ bool CheckGate(const Gate& gate, const std::map<std::string, double>& baseline,
                  smoke_path.c_str());
     return true;
   }
-  const Reading reading = gate.measure();
+  const double value = gate.measure();
   double bound = gate.tolerance;
   bool ok = true;
   const char* relation = "";
   switch (gate.kind) {
     case GateKind::kFloor:
-      bound = std::max(gate.floor_min, it->second * gate.tolerance);
-      ok = reading.value >= bound;
+      bound = it->second * gate.tolerance;
+      ok = value >= bound;
       relation = "floor";
       break;
     case GateKind::kCeiling:
       bound = it->second * gate.tolerance;
-      ok = reading.value <= bound;
+      ok = value <= bound;
       relation = "ceiling";
       break;
     case GateKind::kAbsCeiling:
-      ok = reading.value <= bound;
+      ok = value <= bound;
       relation = "ceiling";
       break;
     case GateKind::kExact:
       bound = it->second;
-      ok = static_cast<uint64_t>(reading.value) == static_cast<uint64_t>(bound);
+      ok = static_cast<uint64_t>(value) == static_cast<uint64_t>(bound);
       relation = "must equal";
       break;
   }
-  std::printf("perf smoke: %s %.6g (%s %.6g)%s%s\n", gate.key, reading.value, relation, bound,
-              reading.detail.empty() ? "" : ", ", reading.detail.c_str());
+  std::printf("perf smoke: %s %.6g (%s %.6g)\n", gate.key, value, relation, bound);
   if (!ok) {
-    std::fprintf(stderr, "perf smoke FAILED: %s = %.6g, %s %.6g\n", gate.key, reading.value,
-                 relation, bound);
-  }
-  if (!reading.failure.empty()) {
-    std::fprintf(stderr, "perf smoke FAILED: %s: %s\n", gate.key, reading.failure.c_str());
-    ok = false;
+    std::fprintf(stderr, "perf smoke FAILED: %s = %.6g, %s %.6g\n", gate.key, value, relation,
+                 bound);
   }
   return ok;
 }
@@ -534,10 +501,8 @@ int Main(int argc, char** argv) {
   if (!emit_path.empty()) {
     std::map<std::string, double> values;
     for (const Gate& gate : PerfSmokeGates()) {
-      const Reading reading = gate.measure();
-      values[gate.key] = reading.value;
-      std::printf("%s: %.6g%s%s -> %s\n", gate.key, reading.value,
-                  reading.detail.empty() ? "" : ", ", reading.detail.c_str(), emit_path.c_str());
+      values[gate.key] = gate.measure();
+      std::printf("%s: %.6g -> %s\n", gate.key, values[gate.key], emit_path.c_str());
     }
     if (!UpdateBenchJson(emit_path, values)) {
       std::fprintf(stderr, "cannot write %s\n", emit_path.c_str());

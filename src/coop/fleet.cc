@@ -542,26 +542,6 @@ FleetResult Fleet::Run(const RootCauseCheck& root_cause_check) {
     // the combined snapshot inherits the fleet's determinism.
     recorder->metrics().Merge(server_.metrics());
   }
-  if (recorder != nullptr && options_.gist.store != nullptr) {
-    // Artifact-store stats go through the annotation side channel ONLY
-    // (like wall-clock): hit/miss counts necessarily differ between warm
-    // and cold campaigns, and MetricsJson()/TraceJson() must not
-    // (DESIGN.md §11). Counts are cumulative over the store's lifetime.
-    const StoreStats cache_stats = options_.gist.store->Snapshot();
-    const ArtifactKindStats total = cache_stats.Total();
-    for (size_t k = 0; k < kNumArtifactKinds; ++k) {
-      const ArtifactKindStats& kind = cache_stats.kinds[k];
-      const std::string name = ArtifactKindName(static_cast<ArtifactKind>(k));
-      recorder->Annotate("cache.hits." + name, static_cast<double>(kind.hits()));
-      recorder->Annotate("cache.misses." + name, static_cast<double>(kind.misses));
-      recorder->Annotate("cache.evictions." + name, static_cast<double>(kind.evictions));
-      recorder->Annotate("cache.bytes." + name, static_cast<double>(kind.bytes));
-    }
-    recorder->Annotate("cache.hits", static_cast<double>(total.hits()));
-    recorder->Annotate("cache.misses", static_cast<double>(total.misses));
-    recorder->Annotate("cache.evictions", static_cast<double>(total.evictions));
-    recorder->Annotate("cache.bytes", static_cast<double>(total.bytes));
-  }
   return result;
 }
 

@@ -111,9 +111,9 @@ struct FleetOptions {
   // coordinator — and records one CampaignIterationSample at the end of each
   // AsT iteration (sketch statement sequence, top predictor ranking,
   // rotation coverage, survivorship). The resulting gist.campaign.v1 journal
-  // is bit-identical for every `jobs`, dispatch tier (`gist.tier`: fast or
-  // reference), and cache state, like the recorder's exports. Null records
-  // nothing and costs nothing.
+  // is bit-identical for every `jobs` and dispatch tier (`gist.tier`: fast
+  // or reference), like the recorder's exports. Null records nothing and
+  // costs nothing.
   CampaignTracker* campaign = nullptr;
 };
 

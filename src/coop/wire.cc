@@ -84,7 +84,7 @@ class Reader {
   }
   bool Bytes(std::vector<uint8_t>* out) {
     uint64_t size;
-    if (!U64(&size) || offset_ + size > bytes_.size()) {
+    if (!U64(&size) || size > bytes_.size() - offset_) {
       return false;
     }
     out->assign(bytes_.begin() + static_cast<long>(offset_),
@@ -94,7 +94,7 @@ class Reader {
   }
   bool String(std::string* out) {
     uint64_t size;
-    if (!U64(&size) || offset_ + size > bytes_.size()) {
+    if (!U64(&size) || size > bytes_.size() - offset_) {
       return false;
     }
     out->assign(bytes_.begin() + static_cast<long>(offset_),

@@ -34,9 +34,8 @@ GistServer::IngestSlots::IngestSlots(MetricsRegistry* metrics)
 GistServer::GistServer(const Module& module, GistOptions options)
     : module_(module),
       options_(std::move(options)),
-      module_hash_(options_.store != nullptr ? HashModule(module) : ContentHash{}),
-      ticfg_(GetOrBuildTicfg(options_.store, module, module_hash_)),
-      decoded_(GetOrDecodeModule(options_.store, module, module_hash_)),
+      ticfg_(std::make_shared<const Ticfg>(module)),
+      decoded_(std::make_shared<const DecodedModule>(module)),
       behavior_(options_.beta),
       stats_shadow_(options_.stats_shadow || StatsShadowFromEnv()),
       ingest_(&metrics_) {}
@@ -45,7 +44,7 @@ void GistServer::ReportFailure(const FailureReport& report) {
   GIST_CHECK_NE(report.failing_instr, kNoInstr) << "failure report lacks a failing statement";
   has_target_ = true;
   target_hash_ = report.MatchHash();
-  slice_ = *GetOrComputeSlice(options_.store, *ticfg_, module_hash_, report.failing_instr);
+  slice_ = ComputeBackwardSlice(*ticfg_, report.failing_instr);
   ast_ = std::make_unique<AstController>(slice_, options_.initial_sigma, options_.ast_growth);
   traces_.clear();
   stream_memo_.Clear();
@@ -95,8 +94,6 @@ GistServer::TraceIngest GistServer::AddTrace(RunTrace trace) {
   // reuses its digest (DESIGN.md §16). A failing run is decoded in full:
   // its summary walks the visits. A memo hit still adds the stream's stats,
   // so every counter but pt.decode.walks is the same as with a fresh walk.
-  // Only a failing run's decode goes through the artifact store: a digest
-  // walk costs less than the store's full decode plus its reduction.
   //
   // Watch events are untrusted too: an instruction id outside the module
   // would index past the module's tables (refinement, replanning, the
@@ -106,7 +103,7 @@ GistServer::TraceIngest GistServer::AddTrace(RunTrace trace) {
       trace.watch_events.begin(), trace.watch_events.end(),
       [&](const WatchEvent& event) { return event.instr >= module_.num_instructions(); });
   uint64_t upload_bytes = 0;
-  std::vector<std::shared_ptr<const PtDecodeResult>> decoded;  // failing runs only
+  std::vector<PtDecodeResult> decoded;  // failing runs only
   std::vector<std::shared_ptr<const PtStreamDigest>> digests;
   digests.reserve(trace.pt_buffers.size());
   for (size_t core = 0; core < trace.pt_buffers.size(); ++core) {
@@ -117,9 +114,8 @@ GistServer::TraceIngest GistServer::AddTrace(RunTrace trace) {
     if (digest == nullptr) {
       *ingest_.decode_walks += 1;
       if (trace.failed) {
-        decoded.push_back(GetOrDecodePt(options_.store, module_, module_hash_,
-                                        static_cast<CoreId>(core), bytes));
-        digest = std::make_shared<const PtStreamDigest>(DigestOf(*decoded.back()));
+        decoded.push_back(DecodePt(module_, static_cast<CoreId>(core), bytes));
+        digest = std::make_shared<const PtStreamDigest>(DigestOf(decoded.back()));
       } else {
         digest = std::make_shared<const PtStreamDigest>(DigestPt(module_, bytes));
         stream_memo_.Insert(bytes, digest);
@@ -144,18 +140,16 @@ GistServer::TraceIngest GistServer::AddTrace(RunTrace trace) {
 
   // Streaming statistics (DESIGN.md §14): the accepted run's predictor set
   // is extracted once right here — O(this run's distinct branch outcomes and
-  // events), under the same store key later sketch builds share — and
-  // folded into the running BehaviorStats keyed by run identity, so a
-  // retried upload of an already-counted run cannot double-count.
+  // events) — and folded into the running BehaviorStats keyed by run
+  // identity, so a retried upload of an already-counted run cannot
+  // double-count.
   std::vector<std::span<const uint64_t>> branch_keys;
   branch_keys.reserve(digests.size());
   for (const auto& digest : digests) {
     branch_keys.emplace_back(digest->branch_keys);
   }
-  behavior_.RecordRun(
-      trace.run_id,
-      *GetOrExtractTracePredictors(module_, options_.store, module_hash_, branch_keys, trace),
-      trace.failed);
+  behavior_.RecordRun(trace.run_id, ExtractPredictors(branch_keys, trace.watch_events),
+                      trace.failed);
 
   if (trace.failed) {
     ++failure_recurrences_;
@@ -186,20 +180,8 @@ GistServer::TraceIngest GistServer::AddTrace(RunTrace trace) {
 
 PlanSnapshot GistServer::Snapshot() const {
   GIST_CHECK(has_target_);
-  std::shared_ptr<const PlanSnapshot::RotationList> rotations;
-  if (options_.store != nullptr && plan_.watch_instrs.size() > options_.watchpoint_slots) {
-    // Re-freezes of an unchanged plan (iterations without a replan, warm
-    // campaigns on the same failure) reuse one materialized rotation list.
-    const ArtifactKey key =
-        PlanRotationsKey(module_hash_, HashPlan(plan_), options_.watchpoint_slots);
-    rotations = options_.store->GetOrBuildObject<PlanSnapshot::RotationList>(
-        key, &module_, ApproxPlanBytes(plan_) * (plan_.watch_instrs.size() + 1), [&] {
-          return std::make_shared<const PlanSnapshot::RotationList>(
-              PlanSnapshot::BuildRotations(plan_, options_.watchpoint_slots));
-        });
-  }
   return PlanSnapshot(module_, plan_, options_.watchpoint_slots, plan_version_, sigma(),
-                      decoded_, std::move(rotations));
+                      decoded_);
 }
 
 Result<FailureSketch> GistServer::BuildSketch() const {
@@ -209,8 +191,6 @@ Result<FailureSketch> GistServer::BuildSketch() const {
   sketch_options.title = options_.title;
   sketch_options.discovered = &discovered_;
   sketch_options.quarantined = quarantined_traces_;
-  sketch_options.store = options_.store;
-  sketch_options.module_hash = module_hash_;
   sketch_options.behavior = &behavior_;
   sketch_options.failing_summaries = &failing_summaries_;
   sketch_options.shadow_check = stats_shadow_;

@@ -15,12 +15,12 @@
 #ifndef GIST_SRC_CORE_GIST_H_
 #define GIST_SRC_CORE_GIST_H_
 
+#include <cstddef>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "src/analysis/slicer.h"
-#include "src/cache/factories.h"
 #include "src/core/ast_controller.h"
 #include "src/core/client_runtime.h"
 #include "src/core/instrumentation.h"
@@ -47,12 +47,9 @@ struct GistOptions {
   // (DESIGN.md §10). The fleet turns this on when a HotPathProfiler is
   // attached; off, monitored runs pay zero profiling cost.
   bool collect_profile = false;
-  // Optional content-addressed artifact store (DESIGN.md §11): Ticfg,
-  // DecodedModule, slices, PT decodes, and rotation lists are served from it
-  // when present, so repeated campaigns on the same module warm-start. Must
-  // outlive the server. Null: every artifact is built fresh — behavior and
-  // every export are byte-identical either way.
-  ArtifactStore* store = nullptr;
+  // Always null. It exists only so perfbench/inputs.cc, which pins it, keeps
+  // compiling; a later benchmark-owned change removes the pin and the field.
+  std::nullptr_t store = nullptr;
   // Dispatch for monitored runs: the fast path (fused bodies included,
   // DESIGN.md §12) or the reference oracle. Tier choice never changes any
   // run result or export byte outside the "engine." metrics namespace.
@@ -115,8 +112,6 @@ class GistServer {
   // execution engine hands to monitored runs; the server itself stays on the
   // coordinator thread. The snapshot carries the server's pre-decoded module
   // cache, so every fleet run of it interprets from the same DecodedModule.
-  // With an artifact store, re-freezes of an unchanged plan reuse one
-  // materialized rotation list instead of rebuilding it per iteration.
   PlanSnapshot Snapshot() const;
 
   // The server's pre-decoded interpreter cache for module() (built once at
@@ -224,9 +219,6 @@ class GistServer {
 
   const Module& module_;
   GistOptions options_;
-  // Content identity of module_; keys every artifact-store lookup. Only
-  // computed when a store is attached.
-  ContentHash module_hash_;
   std::shared_ptr<const Ticfg> ticfg_;
   std::shared_ptr<const DecodedModule> decoded_;
   bool has_target_ = false;

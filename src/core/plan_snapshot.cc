@@ -19,6 +19,30 @@ void FilterArmSites(const std::unordered_set<InstrId>& mine,
   }
 }
 
+// Materializes the §3.2.3 rotation windows of `plan` for `slots`-register
+// clients; empty when the watch set fits the slots.
+std::vector<InstrumentationPlan> BuildRotations(const InstrumentationPlan& plan, uint32_t slots) {
+  std::vector<InstrumentationPlan> rotations;
+  if (plan.watch_instrs.size() <= slots) {
+    return rotations;
+  }
+  std::vector<InstrId> all(plan.watch_instrs.begin(), plan.watch_instrs.end());
+  std::sort(all.begin(), all.end());
+  rotations.reserve(all.size());
+  for (size_t offset = 0; offset < all.size(); ++offset) {
+    std::unordered_set<InstrId> mine;
+    for (uint32_t k = 0; k < slots; ++k) {
+      mine.insert(all[(offset + k) % all.size()]);
+    }
+    InstrumentationPlan restricted = plan;
+    restricted.watch_instrs = mine;
+    FilterArmSites(mine, &restricted.arm_after);
+    FilterArmSites(mine, &restricted.arm_before);
+    rotations.push_back(std::move(restricted));
+  }
+  return rotations;
+}
+
 }  // namespace
 
 SiteTable CompileSiteTable(const Module& module, const InstrumentationPlan& plan) {
@@ -56,50 +80,21 @@ SiteTable CompileSiteTable(const Module& module, const InstrumentationPlan& plan
 
 PlanSnapshot::PlanSnapshot(const Module& module, InstrumentationPlan plan,
                            uint32_t watchpoint_slots, uint64_t version, uint32_t sigma,
-                           std::shared_ptr<const DecodedModule> decoded,
-                           std::shared_ptr<const RotationList> rotations)
+                           std::shared_ptr<const DecodedModule> decoded)
     : plan_(std::move(plan)),
       slots_(watchpoint_slots),
       version_(version),
       sigma_(sigma),
       decoded_(std::move(decoded)),
-      rotations_(std::move(rotations)) {
-  // Unless the caller supplied the materialized list (artifact-store reuse),
-  // rotate only when some client cannot watch the whole set.
-  if (rotations_ == nullptr && plan_.watch_instrs.size() > slots_) {
-    rotations_ = std::make_shared<const RotationList>(BuildRotations(plan_, slots_));
-  }
+      rotations_(BuildRotations(plan_, slots_)) {
   if (rotation_count() == 0) {
     sites_.push_back(CompileSiteTable(module, plan_));
     return;
   }
   sites_.reserve(rotation_count());
-  for (const InstrumentationPlan& rotation : *rotations_) {
+  for (const InstrumentationPlan& rotation : rotations_) {
     sites_.push_back(CompileSiteTable(module, rotation));
   }
-}
-
-PlanSnapshot::RotationList PlanSnapshot::BuildRotations(const InstrumentationPlan& plan,
-                                                        uint32_t slots) {
-  RotationList rotations;
-  if (plan.watch_instrs.size() <= slots) {
-    return rotations;
-  }
-  std::vector<InstrId> all(plan.watch_instrs.begin(), plan.watch_instrs.end());
-  std::sort(all.begin(), all.end());
-  rotations.reserve(all.size());
-  for (size_t offset = 0; offset < all.size(); ++offset) {
-    std::unordered_set<InstrId> mine;
-    for (uint32_t k = 0; k < slots; ++k) {
-      mine.insert(all[(offset + k) % all.size()]);
-    }
-    InstrumentationPlan restricted = plan;
-    restricted.watch_instrs = mine;
-    FilterArmSites(mine, &restricted.arm_after);
-    FilterArmSites(mine, &restricted.arm_before);
-    rotations.push_back(std::move(restricted));
-  }
-  return rotations;
 }
 
 size_t PlanSnapshot::PlanIndex(uint64_t client_index) const {
@@ -107,7 +102,7 @@ size_t PlanSnapshot::PlanIndex(uint64_t client_index) const {
 }
 
 const InstrumentationPlan& PlanSnapshot::ForClient(uint64_t client_index) const {
-  return rotation_count() == 0 ? plan_ : (*rotations_)[PlanIndex(client_index)];
+  return rotation_count() == 0 ? plan_ : rotations_[PlanIndex(client_index)];
 }
 
 const SiteTable& PlanSnapshot::SitesForClient(uint64_t client_index) const {

@@ -38,8 +38,6 @@ SiteTable CompileSiteTable(const Module& module, const InstrumentationPlan& plan
 
 class PlanSnapshot {
  public:
-  using RotationList = std::vector<InstrumentationPlan>;
-
   // Freezes `plan` (a plan for `module`) for clients with `watchpoint_slots`
   // hardware slots.
   // `version` counts the server's replans (any refinement discovery or AsT
@@ -47,18 +45,9 @@ class PlanSnapshot {
   // `decoded` optionally ships the server's pre-decoded module cache so every
   // run of the snapshot interprets from the same read-only DecodedModule and
   // its fused bodies instead of re-decoding (DESIGN.md §7, §12).
-  // `rotations` optionally supplies an already-materialized rotation list for
-  // exactly this (plan, slots) — the artifact store hands the same list to
-  // every re-freeze of an unchanged plan (DESIGN.md §11); when null the
-  // snapshot builds its own.
   PlanSnapshot(const Module& module, InstrumentationPlan plan, uint32_t watchpoint_slots,
                uint64_t version, uint32_t sigma,
-               std::shared_ptr<const DecodedModule> decoded = nullptr,
-               std::shared_ptr<const RotationList> rotations = nullptr);
-
-  // Materializes the §3.2.3 rotation windows of `plan` for `slots`-register
-  // clients; empty when the watch set fits the slots.
-  static RotationList BuildRotations(const InstrumentationPlan& plan, uint32_t slots);
+               std::shared_ptr<const DecodedModule> decoded = nullptr);
 
   // The unrestricted plan (what the server would ship to a lone client).
   const InstrumentationPlan& base() const { return plan_; }
@@ -74,7 +63,7 @@ class PlanSnapshot {
   uint32_t watchpoint_slots() const { return slots_; }
 
   // Number of distinct rotated plans (0 when no rotation is needed).
-  size_t rotation_count() const { return rotations_ == nullptr ? 0 : rotations_->size(); }
+  size_t rotation_count() const { return rotations_.size(); }
 
   // The shared pre-decoded module cache, or null when the snapshot was built
   // without one (runs then decode privately).
@@ -88,8 +77,7 @@ class PlanSnapshot {
   std::shared_ptr<const DecodedModule> decoded_;
   // Rotation r restricts the watch set to sorted accesses
   // [r, r + slots) mod |accesses|; indexed by (client * slots) mod size.
-  // Shared immutably: re-freezes of an unchanged plan reuse one list.
-  std::shared_ptr<const RotationList> rotations_;
+  std::vector<InstrumentationPlan> rotations_;
   // One compiled table per plan a client can run: the base plan's alone, or
   // one per rotation, in rotation order.
   std::vector<SiteTable> sites_;

@@ -38,58 +38,8 @@ std::vector<InstrId> FailureSketch::SharedAccessOrder(const Module& module) cons
   return order;
 }
 
-namespace {
-
-struct LayoutEntry {
-  InstrId instr = kNoInstr;
-  ThreadId tid = kNoThread;
-  int64_t pos = -1;          // per-thread program-order position (-1: unknown)
-  double anchor = 0.0;       // global sort key
-  bool watched = false;
-  std::optional<Word> value;
-  bool discovered = false;
-};
-
-// Cache key for one trace's extracted predictor set: a pure function of
-// (module, PT buffers, watch log), shared by ingest and batch-path sketch
-// builds.
-ArtifactKey PredictorsKey(const ContentHash& module_hash, const RunTrace& trace) {
-  uint64_t hi = module_hash.hi;
-  uint64_t lo = module_hash.lo;
-  for (const std::vector<uint8_t>& bytes : trace.pt_buffers) {
-    const ContentHash stream = HashContent(bytes.data(), bytes.size());
-    hi = HashCombine(hi, stream.hi);
-    lo = HashCombine(lo, stream.lo);
-  }
-  for (const WatchEvent& event : trace.watch_events) {
-    hi = HashCombine(hi, HashCombine(event.seq, HashCombine(event.instr, event.tid)));
-    lo = HashCombine(lo, HashCombine(static_cast<uint64_t>(event.addr),
-                                     HashCombine(static_cast<uint64_t>(event.value),
-                                                 event.is_write ? 1u : 0u)));
-  }
-  return ArtifactKey{ArtifactKind::kPredictors, hi, lo};
-}
-
-}  // namespace
-
-std::shared_ptr<const std::vector<Predictor>> GetOrExtractTracePredictors(
-    const Module& module, ArtifactStore* store, const ContentHash& module_hash,
-    const std::vector<std::span<const uint64_t>>& branch_keys, const RunTrace& trace) {
-  auto build = [&] {
-    return std::make_shared<const std::vector<Predictor>>(
-        ExtractPredictors(branch_keys, trace.watch_events));
-  };
-  if (store == nullptr) {
-    return build();
-  }
-  const size_t approx_bytes = 128 + trace.watch_events.size() * 3 * sizeof(Predictor);
-  return store->GetOrBuildObject<std::vector<Predictor>>(PredictorsKey(module_hash, trace),
-                                                         &module, approx_bytes, build);
-}
-
-FailingTraceSummary SummarizeFailingTrace(
-    const Module& module, size_t trace_index,
-    const std::vector<std::shared_ptr<const PtDecodeResult>>& decoded) {
+FailingTraceSummary SummarizeFailingTrace(const Module& module, size_t trace_index,
+                                          const std::vector<PtDecodeResult>& decoded) {
   // Per thread: the next program-order position and the last position of
   // each instruction it retired (-1: never). Threads are few, so a linear
   // lookup per visit beats a map.
@@ -102,7 +52,7 @@ FailingTraceSummary SummarizeFailingTrace(
   std::vector<ThreadWalk> threads;
   for (const auto& result : decoded) {
     ThreadWalk* walk = nullptr;
-    for (const PtVisit& visit : result->trace.visits) {
+    for (const PtVisit& visit : result.trace.visits) {
       if (visit.first_index > visit.last_index) {
         continue;  // truncated-away visit
       }
@@ -141,19 +91,27 @@ FailingTraceSummary SummarizeFailingTrace(
 
 namespace {
 
+struct LayoutEntry {
+  InstrId instr = kNoInstr;
+  ThreadId tid = kNoThread;
+  int64_t pos = -1;          // per-thread program-order position (-1: unknown)
+  double anchor = 0.0;       // global sort key
+  bool watched = false;
+  std::optional<Word> value;
+  bool discovered = false;
+};
+
 // Decodes every core of `trace`; counts the decodes into `*pt_decodes`.
 // Returns nothing when a stream is corrupt.
-std::optional<std::vector<std::shared_ptr<const PtDecodeResult>>> DecodeTrace(
-    const Module& module, const SketchOptions& options, const RunTrace& trace,
-    uint64_t* pt_decodes) {
-  std::vector<std::shared_ptr<const PtDecodeResult>> decoded;
+std::optional<std::vector<PtDecodeResult>> DecodeTrace(const Module& module,
+                                                       const RunTrace& trace,
+                                                       uint64_t* pt_decodes) {
+  std::vector<PtDecodeResult> decoded;
   decoded.reserve(trace.pt_buffers.size());
   for (size_t core = 0; core < trace.pt_buffers.size(); ++core) {
     ++*pt_decodes;
-    std::shared_ptr<const PtDecodeResult> one =
-        GetOrDecodePt(options.store, module, options.module_hash, static_cast<CoreId>(core),
-                      trace.pt_buffers[core]);
-    if (!one->ok()) {
+    PtDecodeResult one = DecodePt(module, static_cast<CoreId>(core), trace.pt_buffers[core]);
+    if (!one.ok()) {
       return std::nullopt;
     }
     decoded.push_back(std::move(one));
@@ -222,7 +180,7 @@ Result<FailureSketch> BuildFailureSketch(const Module& module,
   if (!incremental || options.shadow_check) {
     for (size_t i = 0; i < traces.size(); ++i) {
       const RunTrace& trace = traces[i];
-      auto decoded = DecodeTrace(module, options, trace, &pt_decodes);
+      auto decoded = DecodeTrace(module, trace, &pt_decodes);
       if (!decoded.has_value()) {
         // Corrupt upload that bypassed server ingestion: quarantine it here
         // rather than abandoning the sketch (DESIGN.md §8).
@@ -231,12 +189,12 @@ Result<FailureSketch> BuildFailureSketch(const Module& module,
       }
       std::vector<std::vector<uint64_t>> keys;
       for (const auto& result : *decoded) {
-        keys.push_back(PtBranchKeys(result->trace));
+        keys.push_back(PtBranchKeys(result.trace));
       }
       batch.RecordRun(trace.run_id,
-                      *GetOrExtractTracePredictors(
-                          module, options.store, options.module_hash,
-                          std::vector<std::span<const uint64_t>>(keys.begin(), keys.end()), trace),
+                      ExtractPredictors(
+                          std::vector<std::span<const uint64_t>>(keys.begin(), keys.end()),
+                          trace.watch_events),
                       trace.failed);
       if (trace.failed) {
         batch_summaries.push_back(SummarizeFailingTrace(module, i, *decoded));

@@ -25,13 +25,10 @@
 #ifndef GIST_SRC_CORE_SKETCH_H_
 #define GIST_SRC_CORE_SKETCH_H_
 
-#include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
-#include "src/cache/factories.h"
 #include "src/core/run_trace.h"
 #include "src/core/statistics.h"
 #include "src/ir/module.h"
@@ -74,8 +71,7 @@ struct FailureSketch {
   // Distinct predictors scored while ranking (flight-recorder input,
   // DESIGN.md §9).
   uint32_t predictors_evaluated = 0;
-  // PT streams this build decoded (every core of each trace it read; cache
-  // hits count too). Flight-recorder input, DESIGN.md §15: only the batch
+  // PT streams this build decoded (every core of each trace it read). Flight-recorder input, DESIGN.md §15: only the batch
   // path decodes, once per core of every trace. With streaming statistics
   // and shadow mode off a build decodes nothing, so this is 0.
   uint64_t pt_decodes = 0;
@@ -122,9 +118,8 @@ struct FailingTraceSummary {
 
 // Summarizes one trace from its decoded PT streams in one walk over their
 // visits.
-FailingTraceSummary SummarizeFailingTrace(
-    const Module& module, size_t trace_index,
-    const std::vector<std::shared_ptr<const PtDecodeResult>>& decoded);
+FailingTraceSummary SummarizeFailingTrace(const Module& module, size_t trace_index,
+                                          const std::vector<PtDecodeResult>& decoded);
 
 struct SketchOptions {
   double beta = kDefaultBeta;
@@ -136,12 +131,6 @@ struct SketchOptions {
   // Uploads the server already quarantined before `traces`; carried into
   // FailureSketch::quarantined_traces so the sketch reports the full count.
   uint64_t quarantined = 0;
-  // Optional artifact store (DESIGN.md §11): the batch path's PT decodes and
-  // predictor extractions go through it, so they hit the entries ingest
-  // made. `module_hash` must be the content hash of the module passed to
-  // BuildFailureSketch; ignored when `store` is null.
-  ArtifactStore* store = nullptr;
-  ContentHash module_hash;
   // Streaming statistics maintained by the trace-ingest path (DESIGN.md
   // §14). When set, the sketch ranks from this aggregation instead of
   // re-extracting every stored trace's predictors, and picks and lays out
@@ -161,15 +150,6 @@ struct SketchOptions {
   // tests and GIST_STATS_SHADOW=1 turn it on.
   bool shadow_check = false;
 };
-
-// Extracts one trace's deduplicated predictor set from the branch-outcome
-// keys of its PT streams and its watch log, through the artifact store when
-// one is attached. Pure function of (module, PT buffers, watch log); ingest
-// and sketch builds share the same store key, so whichever runs first pays
-// the extraction.
-std::shared_ptr<const std::vector<Predictor>> GetOrExtractTracePredictors(
-    const Module& module, ArtifactStore* store, const ContentHash& module_hash,
-    const std::vector<std::span<const uint64_t>>& branch_keys, const RunTrace& trace);
 
 // Builds a sketch from the monitored runs. `window` is the slice portion AsT
 // currently tracks; `traces` are all collected run traces (at least one

@@ -1,5 +1,6 @@
 #include "src/corpus/corpus.h"
 
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -152,19 +153,22 @@ bool LoadCorpusIndex(const std::string& dir, CorpusOptions* options, std::string
     *error = path + " is not a gist.corpus.v1 index";
     return false;
   }
-  auto find_number = [&](const std::string& key, uint64_t* value) {
+  // The value after `"key":` must be a plain decimal number in [0, max].
+  auto find_number = [&](const std::string& key, uint64_t max, uint64_t* value) {
     const std::string needle = "\"" + key + "\":";
-    const size_t at = text.find(needle);
-    if (at == std::string::npos) {
+    size_t begin = text.find(needle);
+    if (begin == std::string::npos) {
       return false;
     }
-    *value = std::strtoull(text.c_str() + at + needle.size(), nullptr, 10);
-    return true;
+    begin = text.find_first_not_of(' ', begin + needle.size());
+    const size_t end = text.find_first_not_of("0123456789", begin);
+    return begin != std::string::npos &&
+           ParseU64(std::string_view(text).substr(begin, end - begin), max, value);
   };
   uint64_t seed = 0;
   uint64_t count = 0;
-  if (!find_number("seed", &seed) || !find_number("count", &count)) {
-    *error = path + " is missing seed/count";
+  if (!find_number("seed", UINT64_MAX, &seed) || !find_number("count", UINT32_MAX, &count)) {
+    *error = path + " is missing seed/count or has one out of range";
     return false;
   }
   options->seed = seed;

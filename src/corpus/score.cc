@@ -55,7 +55,6 @@ ProgramScore ScoreProgram(const GeneratedProgram& program, const CorpusScoreOpti
 
   FleetOptions fleet_options;
   fleet_options.gist.tier = options.tier;
-  fleet_options.gist.store = options.store;
   fleet_options.gist.title = manifest.name;
   fleet_options.runs_per_iteration = options.runs_per_iteration;
   fleet_options.max_iterations = options.max_iterations;

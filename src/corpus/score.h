@@ -21,7 +21,6 @@
 
 namespace gist {
 
-class ArtifactStore;
 class FlightRecorder;
 class ThreadPool;
 
@@ -30,9 +29,6 @@ struct CorpusScoreOptions {
   // identical for every value; only wall-clock changes.
   uint32_t jobs = 1;
   ExecTier tier = ExecTier::kFast;
-  // Optional warm-start store shared across the whole sweep (src/cache).
-  // Artifacts are keyed per module content hash, so programs never collide.
-  ArtifactStore* store = nullptr;
   // Deterministic fault injection applied to every program's fleet
   // (fleet_chaos-style). Scores stay bit-identical across --jobs.
   FaultOptions faults;
@@ -83,8 +79,7 @@ struct CorpusScore {
 ProgramScore ScoreProgram(const GeneratedProgram& program, const CorpusScoreOptions& options,
                           ThreadPool* shared_pool);
 
-// Scores every program, sharing one worker pool (and the options' store)
-// across the sweep.
+// Scores every program, sharing one worker pool across the sweep.
 CorpusScore ScoreCorpus(const std::vector<GeneratedProgram>& programs,
                         const CorpusScoreOptions& options);
 

@@ -17,9 +17,9 @@
 // Like the flight recorder, the tracker lives on VIRTUAL time (retired
 // instructions over consumed work) and its `gist.campaign.v1` journal is a
 // pure function of (module, options, fleet_seed): bit-identical for any
-// --jobs, execution tier, and cache state. Wall-clock or otherwise
-// non-deterministic numbers ride the annotation side channel ONLY and never
-// appear in JournalJson().
+// --jobs and execution tier. Wall-clock or otherwise non-deterministic
+// numbers ride the annotation side channel ONLY and never appear in
+// JournalJson().
 //
 // Layering: src/obs sits below core/coop, so the API is plain data — the
 // fleet adapts server state (sketch statements, ranked predictors) into a
@@ -109,7 +109,7 @@ class CampaignTracker {
 
   // The deterministic `gist.campaign.v1` journal: per-iteration records plus
   // the live status block. Integer and string fields only — no doubles, no
-  // wall clock — so byte-equality across --jobs/tier/cache is checkable with
+  // wall clock — so byte-equality across --jobs and tier is checkable with
   // cmp(1).
   std::string JournalJson() const;
 

@@ -154,6 +154,21 @@ TEST(CorpusTest, WriteAndLoadRoundTrip) {
   EXPECT_EQ(loaded.seed, options.seed);
   EXPECT_EQ(loaded.count, options.count);
 
+  // A count the generator cannot hold is rejected, not narrowed to 32 bits.
+  const std::filesystem::path index = dir / "corpus.json";
+  const std::string original = ReadFile(index);
+  const std::string count_field = "\"count\": 7,";
+  ASSERT_NE(original.find(count_field), std::string::npos);
+  for (const char* bad : {"4294967296", "4294967297", "18446744073709551616", "-1", ""}) {
+    std::string edited = original;
+    edited.replace(edited.find(count_field), count_field.size(),
+                   std::string("\"count\": ") + bad + ",");
+    std::ofstream(index, std::ios::binary | std::ios::trunc) << edited;
+    CorpusOptions rejected;
+    EXPECT_FALSE(LoadCorpusIndex(dir.string(), &rejected, &error)) << "count " << bad;
+  }
+  std::ofstream(index, std::ios::binary | std::ios::trunc) << original;
+
   // On-disk artifacts are the canonical bytes, not approximations.
   for (const GeneratedProgram& program : programs) {
     EXPECT_EQ(ReadFile(dir / (program.manifest.name + ".gir")),

@@ -1,7 +1,7 @@
 // Campaign-observatory determinism contract (DESIGN.md §14):
 //   1. the gist.campaign.v1 journal is byte-identical for every worker
-//      count, execution tier, and cache state, chaos on or off — the tracker
-//      only sees coordinator-merged, run-index-ordered state;
+//      count and execution tier, chaos on or off — the tracker only sees
+//      coordinator-merged, run-index-ordered state;
 //   2. the streaming (incremental) BehaviorStats aggregation is byte-
 //      identical to a batch recompute over the stored traces, on every
 //      bundled app and on a synthesized corpus subset — checked both by
@@ -15,8 +15,6 @@
 #include <vector>
 
 #include "src/apps/app.h"
-#include "src/cache/artifact_store.h"
-#include "src/cache/factories.h"
 #include "src/coop/fleet.h"
 #include "src/corpus/corpus.h"
 #include "src/corpus/score.h"
@@ -105,16 +103,16 @@ CampaignFleet RunCampaignFleet(const BugApp& app, FleetOptions options) {
           DecodePt(app.module(), static_cast<CoreId>(core), trace.pt_buffers[core]).trace));
     }
     replay.RecordRun(trace.run_id,
-                     *GetOrExtractTracePredictors(
-                         app.module(), nullptr, ContentHash{},
-                         std::vector<std::span<const uint64_t>>(keys.begin(), keys.end()), trace),
+                     ExtractPredictors(
+                         std::vector<std::span<const uint64_t>>(keys.begin(), keys.end()),
+                         trace.watch_events),
                      trace.failed);
   }
   out.batch_fingerprint = replay.Fingerprint();
   return out;
 }
 
-TEST(FleetCampaignTest, JournalBitIdenticalAcrossJobsTiersAndCache) {
+TEST(FleetCampaignTest, JournalBitIdenticalAcrossJobsAndTiers) {
   std::unique_ptr<BugApp> app = MakeAppByName("apache-2");
   ASSERT_NE(app, nullptr);
   for (const bool faulted : {false, true}) {
@@ -138,19 +136,6 @@ TEST(FleetCampaignTest, JournalBitIdenticalAcrossJobsTiersAndCache) {
         EXPECT_EQ(sequential.journal, other.journal);
         EXPECT_EQ(sequential.sketch_render, other.sketch_render);
       }
-    }
-
-    // Cache cold, then warm against the same store: the journal must not see
-    // the artifact store at all.
-    ArtifactStore store;
-    for (const char* pass : {"cold", "warm"}) {
-      FleetOptions cached = base;
-      cached.jobs = 4;
-      cached.gist.store = &store;
-      SCOPED_TRACE(pass);
-      const CampaignFleet other = RunCampaignFleet(*app, cached);
-      EXPECT_EQ(sequential.journal, other.journal);
-      EXPECT_EQ(sequential.sketch_render, other.sketch_render);
     }
   }
 }

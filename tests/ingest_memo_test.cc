@@ -15,7 +15,6 @@
 #include <span>
 #include <vector>
 
-#include "src/cache/artifact_store.h"
 #include "src/core/gist.h"
 #include "src/ir/parser.h"
 #include "src/pt/decoder.h"
@@ -348,49 +347,6 @@ TEST_F(IngestMemoTest, FailingTracesAreAlwaysDecodedInFull) {
   ASSERT_EQ(server.AddTrace(std::move(again)), GistServer::TraceIngest::kAccepted);
   EXPECT_EQ(Walks(server), 2 * cores);
   EXPECT_EQ(server.stream_memo_bytes(), 0u);
-}
-
-// A successful run's stream is walked with DigestPt whether or not a store
-// is attached: only failing runs look their full decodes up in the store.
-TEST_F(IngestMemoTest, SuccessfulStreamsNeverGoThroughTheStore) {
-  ArtifactStore store;
-  GistOptions with_store = options_;
-  with_store.store = &store;
-  GistServer cached(*module_, with_store);
-  GistServer plain(*module_, options_);
-  plain.ReportFailure(report_);
-  cached.ReportFailure(report_);
-  auto pt_decode_lookups = [&store] {
-    const ArtifactKindStats stats =
-        store.Snapshot().kinds[static_cast<size_t>(ArtifactKind::kPtDecode)];
-    return stats.hits() + stats.misses;
-  };
-
-  for (uint64_t run_id = 1; run_id <= 4; ++run_id) {
-    const RunTrace trace = Successful(plain, run_id, /*spins=*/run_id % 2);
-    ASSERT_EQ(plain.AddTrace(trace), GistServer::TraceIngest::kAccepted);
-    ASSERT_EQ(cached.AddTrace(trace), GistServer::TraceIngest::kAccepted);
-  }
-  EXPECT_EQ(pt_decode_lookups(), 0u);
-  const ArtifactKindStats predictors =
-      store.Snapshot().kinds[static_cast<size_t>(ArtifactKind::kPredictors)];
-  EXPECT_EQ(predictors.hits() + predictors.misses, 4u);  // one lookup per upload
-
-  MonitoredRun failing = RunMonitored(*module_, plain.plan(), Inputs(1, 0, 2), options_, 5);
-  ASSERT_FALSE(failing.result.ok());
-  uint64_t nonempty = 0;
-  for (const std::vector<uint8_t>& bytes : failing.trace.pt_buffers) {
-    nonempty += bytes.empty() ? 0 : 1;  // empty buffers bypass the store
-  }
-  ASSERT_GT(nonempty, 0u);
-  ASSERT_EQ(plain.AddTrace(failing.trace), GistServer::TraceIngest::kAccepted);
-  ASSERT_EQ(cached.AddTrace(failing.trace), GistServer::TraceIngest::kAccepted);
-  EXPECT_EQ(pt_decode_lookups(), nonempty);
-
-  EXPECT_EQ(Walks(cached), Walks(plain));
-  EXPECT_EQ(cached.metrics().counter("pt.decode.packets"),
-            plain.metrics().counter("pt.decode.packets"));
-  EXPECT_EQ(cached.behavior().Fingerprint(), plain.behavior().Fingerprint());
 }
 
 }  // namespace

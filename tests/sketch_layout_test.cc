@@ -418,11 +418,9 @@ class HandWrittenLayoutTest : public ::testing::Test {
   // visits, and returns it.
   FailureSketch BuildAndCheck(const RunTrace& trace, const std::vector<DecodedCoreTrace>& cores,
                               const BehaviorStats& behavior) {
-    std::vector<std::shared_ptr<const PtDecodeResult>> decoded;
-    for (const DecodedCoreTrace& core : cores) {
-      auto result = std::make_shared<PtDecodeResult>();
-      result->trace = core;
-      decoded.push_back(std::move(result));
+    std::vector<PtDecodeResult> decoded(cores.size());
+    for (size_t i = 0; i < cores.size(); ++i) {
+      decoded[i].trace = cores[i];
     }
     const std::vector<FailingTraceSummary> summaries = {
         SummarizeFailingTrace(*module_, 0, decoded)};
@@ -466,12 +464,9 @@ TEST_F(HandWrittenLayoutTest, ThreadCountsRunAcrossCoresInCoreOrder) {
   core1.visits = {Visit(0, main_, 0, 1), Visit(1, worker_, 4, 4), Visit(0, main_, 2, 6)};
   const RunTrace trace = Failing(Instr(main_, 6), 0);
 
-  std::vector<std::shared_ptr<const PtDecodeResult>> decoded;
-  for (const DecodedCoreTrace& core : {core0, core1}) {
-    auto result = std::make_shared<PtDecodeResult>();
-    result->trace = core;
-    decoded.push_back(std::move(result));
-  }
+  std::vector<PtDecodeResult> decoded(2);
+  decoded[0].trace = core0;
+  decoded[1].trace = core1;
   const FailingTraceSummary summary = SummarizeFailingTrace(*module_, 3, decoded);
   EXPECT_EQ(summary.trace_index, 3u);
   // Thread 1's counter carries across cores: worker[4] is its 5th

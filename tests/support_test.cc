@@ -178,6 +178,10 @@ TEST(StrTest, ParseU64AcceptsPlainDecimalInRange) {
   EXPECT_EQ(value, UINT64_MAX);
   EXPECT_TRUE(ParseU64("256", 256, &value));
   EXPECT_EQ(value, 256u);
+  // The corpus count flags' ceiling, checked here rather than by launching a
+  // command: an in-range count this large would generate that many programs.
+  EXPECT_TRUE(ParseU64("4294967295", UINT32_MAX, &value));
+  EXPECT_EQ(value, UINT32_MAX);
 }
 
 TEST(StrTest, ParseU64RejectsGarbageSignsAndOverflow) {
@@ -187,6 +191,7 @@ TEST(StrTest, ParseU64RejectsGarbageSignsAndOverflow) {
     EXPECT_FALSE(ParseU64(text, UINT64_MAX, &value)) << text;
   }
   EXPECT_FALSE(ParseU64("3", 2, &value));
+  EXPECT_FALSE(ParseU64("4294967296", UINT32_MAX, &value));
   EXPECT_EQ(value, 7u);  // untouched on failure
 }
 

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "src/coop/wire.h"
 #include "src/core/gist.h"
 #include "src/ir/parser.h"
@@ -146,6 +148,45 @@ TEST(WireTest, RandomCorruptionNeverCrashes) {
     (void)decoded;
   }
   SUCCEED();
+}
+
+// Reads the little-endian u64 at `pos`.
+uint64_t ReadU64At(const std::vector<uint8_t>& bytes, size_t pos) {
+  uint64_t value = 0;
+  for (int i = 7; i >= 0; --i) {
+    value = (value << 8) | bytes[pos + static_cast<size_t>(i)];
+  }
+  return value;
+}
+
+void WriteU64At(std::vector<uint8_t>* bytes, size_t pos, uint64_t value) {
+  for (size_t i = 0; i < 8; ++i) {
+    (*bytes)[pos + i] = static_cast<uint8_t>(value >> (8 * i));
+  }
+}
+
+// A length field is untrusted: one whose sum with the read offset wraps
+// around 2^64 must be rejected, not turned into a reversed byte range.
+TEST(WireTest, WrappingLengthFieldsRejected) {
+  const std::vector<uint8_t> pristine = SerializeRunTrace(RealTrace());
+  // magic, version, run id, failed flag, failure type, instr, thread.
+  const size_t message_len_at = 4 + 4 + 8 + 1 + 1 + 4 + 4;
+  const size_t frames_at = message_len_at + 8 + ReadU64At(pristine, message_len_at);
+  const size_t buffers_at = frames_at + 8 + 4 * ReadU64At(pristine, frames_at);
+  ASSERT_GT(ReadU64At(pristine, buffers_at), 0u);
+  const size_t pt_len_at = buffers_at + 8;
+  ASSERT_LE(pt_len_at + 8, pristine.size());
+
+  for (const size_t field_at : {message_len_at, pt_len_at}) {
+    // The reader's offset once it has read the length field.
+    const uint64_t offset = field_at + 8;
+    for (const uint64_t length : {UINT64_MAX, uint64_t{1} << 63, 0 - offset, 0 - offset + 4}) {
+      std::vector<uint8_t> bytes = pristine;
+      WriteU64At(&bytes, field_at, length);
+      EXPECT_FALSE(DeserializeRunTrace(bytes).ok())
+          << "length " << length << " at byte " << field_at;
+    }
+  }
 }
 
 TEST(WireChunkTest, SplitCoversEveryByteInOrder) {

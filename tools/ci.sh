@@ -13,7 +13,7 @@
 #
 # Within every stage ctest runs label by label, fail-fast (the LABELS array
 # below is the single source of the order):
-#   unit -> obs -> fleet -> chaos -> cache -> corpus
+#   unit -> obs -> fleet -> chaos -> corpus
 # so a broken unit test stops the stage before the expensive diagnosis loops
 # and fault-injection sweeps run. Each stage ends with a per-label timing
 # table so slow suites are visible at a glance.
@@ -37,7 +37,7 @@ fi
 # The staged test order. run_labels and the CMake label registry
 # (tests/CMakeLists.txt) must agree; a label listed here with no tests fails
 # the stage (ctest -L with no matches errors under --no-tests=error).
-LABELS=(unit obs fleet chaos cache corpus)
+LABELS=(unit obs fleet chaos corpus)
 
 run_labels() {
   local dir="$1"
@@ -130,41 +130,6 @@ EOF
   #     --profile-json BENCH_profile.json
   echo "=== [release] profile diff gate ==="
   ./build-ci-release/gist profdiff BENCH_profile.json build-ci-release/profile.json --top 5
-  # Warm-start gate (DESIGN.md §11): the same diagnosis with the cache off,
-  # cold, and warm over one --cache-dir, with GIST_CACHE_VERIFY cross-checking
-  # every hit. All three runs must export byte-identical metrics/trace
-  # artifacts — the store must be invisible in results — and the warm run must
-  # actually hit the store, or the cache silently stopped working.
-  echo "=== [release] warm-start cache gate ==="
-  rm -rf build-ci-release/cache
-  ./build-ci-release/gist diagnose-app sqlite --fleet-seed 3 \
-    --metrics-json build-ci-release/cache_metrics_off.json \
-    --trace-json build-ci-release/cache_trace_off.json >/dev/null
-  for pass in cold warm; do
-    GIST_CACHE_VERIFY=1 ./build-ci-release/gist diagnose-app sqlite --fleet-seed 3 \
-      --cache-dir build-ci-release/cache \
-      --metrics-json "build-ci-release/cache_metrics_${pass}.json" \
-      --trace-json "build-ci-release/cache_trace_${pass}.json" \
-      --cache-stats-json "build-ci-release/cache_stats_${pass}.json" >/dev/null
-  done
-  for pass in cold warm; do
-    cmp "build-ci-release/cache_metrics_${pass}.json" build-ci-release/cache_metrics_off.json
-    cmp "build-ci-release/cache_trace_${pass}.json" build-ci-release/cache_trace_off.json
-  done
-  python3 - <<'EOF'
-import json
-with open("build-ci-release/cache_stats_warm.json") as f:
-    stats = json.load(f)
-assert stats["schema"] == "gist.cachestats.v1", stats.get("schema")
-assert stats["cache.hits"] > 0, "warm run recorded zero cache hits"
-assert stats["cache.corrupt"] == 0, "warm run quarantined records"
-print(f"warm-start gate OK: {int(stats['cache.hits'])} hits, "
-      f"{int(stats['cache.bytes'])} resident bytes")
-EOF
-  # The maintenance subcommand must read the same directory it just warmed.
-  ./build-ci-release/gist cache build-ci-release/cache_stats_warm.json \
-    --cache-dir build-ci-release/cache
-  ./build-ci-release/gist cache --cache-dir build-ci-release/cache --cache-purge >/dev/null
   # Campaign observatory gate (DESIGN.md §14): one diagnosis exporting the
   # gist.campaign.v1 journal, schema-validated, then re-run at a different
   # worker count and under the streaming-stats shadow check — the journal
