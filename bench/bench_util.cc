@@ -10,6 +10,7 @@
 #include "src/analysis/slicer.h"
 #include "src/core/instrumentation.h"
 #include "src/support/str.h"
+#include "src/support/thread_pool.h"
 
 namespace gist {
 
@@ -21,16 +22,34 @@ FleetOptions DefaultBenchFleetOptions() {
   return options;
 }
 
+bool ParseJobsValue(std::string_view text, uint32_t* jobs) {
+  uint64_t value = 0;
+  if (!ParseU64(text, kMaxPoolThreads, &value)) {
+    return false;
+  }
+  *jobs = static_cast<uint32_t>(value);
+  return true;
+}
+
 uint32_t ParseJobsFlag(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
-    if (arg == "--jobs" && i + 1 < argc) {
-      return static_cast<uint32_t>(std::strtoul(argv[i + 1], nullptr, 10));
-    }
     constexpr std::string_view kPrefix = "--jobs=";
-    if (arg.substr(0, kPrefix.size()) == kPrefix) {
-      return static_cast<uint32_t>(std::strtoul(arg.data() + kPrefix.size(), nullptr, 10));
+    std::string_view text;
+    if (arg == "--jobs") {
+      text = i + 1 < argc ? std::string_view(argv[i + 1]) : std::string_view();
+    } else if (arg.substr(0, kPrefix.size()) == kPrefix) {
+      text = arg.substr(kPrefix.size());
+    } else {
+      continue;
     }
+    uint32_t jobs = 0;
+    if (!ParseJobsValue(text, &jobs)) {
+      std::fprintf(stderr, "error: --jobs wants a number in [0, %u], got '%.*s'\n",
+                   kMaxPoolThreads, static_cast<int>(text.size()), text.data());
+      std::exit(2);
+    }
+    return jobs;
   }
   return 1;
 }

@@ -9,6 +9,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/apps/app.h"
@@ -36,10 +37,16 @@ struct AppFleetOutcome {
 // are comparable between tables).
 FleetOptions DefaultBenchFleetOptions();
 
+// Parses one --jobs value strictly: a plain decimal number in
+// [0, kMaxPoolThreads]. A sign, whitespace, trailing characters and larger
+// values are rejected (false, `*jobs` untouched).
+bool ParseJobsValue(std::string_view text, uint32_t* jobs);
+
 // Parses `--jobs N` / `--jobs=N` from the bench command line (0 = all
 // hardware threads). Returns 1 — fully sequential, the historical behavior —
-// when the flag is absent. Results are identical for every value; only
-// wall-clock changes.
+// when the flag is absent. A missing or invalid value (ParseJobsValue) is a
+// usage error: the bench exits 2 before any work starts. Results are
+// identical for every value; only wall-clock changes.
 uint32_t ParseJobsFlag(int argc, char** argv);
 
 // Runs `name`'s bug through the full loop and measures everything. The

@@ -324,6 +324,10 @@ struct InvariantCounters {
   // like the counters above; a drop to zero means fusion silently
   // disengaged, which no throughput floor catches reliably.
   uint64_t fused_retired = 0;
+  // PickNext calls (DESIGN.md §12): scheduler boundaries Run() ran. A fused
+  // chain alone among runnable threads settles its boundaries without one,
+  // so a slide back to per-quantum picks multiplies this several times over.
+  uint64_t scheduler_picks = 0;
   // Events the VM delivered to the client runtimes' batch handlers (DESIGN.md
   // §7): retired events only at PT-stop sites, accesses only at watch sites
   // and armed addresses. A slide back to per-instruction delivery multiplies
@@ -356,6 +360,7 @@ InvariantCounters MeasureInvariantCounters() {
   counters.watch_traps = recorder.metrics().counter("hw.watch.traps");
   counters.campaign_journal_bytes = campaign.JournalJson().size();
   counters.fused_retired = recorder.metrics().counter("engine.fused_retired");
+  counters.scheduler_picks = recorder.metrics().counter("engine.scheduler_picks");
   counters.client_retired_deliveries =
       recorder.metrics().counter("engine.retired_deliveries");
   counters.client_mem_deliveries = recorder.metrics().counter("engine.mem_deliveries");
@@ -435,6 +440,7 @@ std::vector<Gate> PerfSmokeGates() {
       {"campaign_journal_bytes", counter(&InvariantCounters::campaign_journal_bytes),
        GateKind::kExact},
       {"vm_fused_retired", counter(&InvariantCounters::fused_retired), GateKind::kExact},
+      {"vm_scheduler_picks", counter(&InvariantCounters::scheduler_picks), GateKind::kExact},
       {"client_retired_deliveries", counter(&InvariantCounters::client_retired_deliveries),
        GateKind::kExact},
       {"client_mem_deliveries", counter(&InvariantCounters::client_mem_deliveries),

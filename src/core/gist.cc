@@ -260,6 +260,7 @@ RunMetricsPublisher::RunMetricsPublisher(MetricsRegistry* metrics)
       vm_thread_events_(metrics->CounterSlot("vm.thread_events")),
       vm_run_steps_(metrics->HistogramSlot("vm.run_steps")),
       engine_bursts_(metrics->CounterSlot("engine.bursts")),
+      engine_scheduler_picks_(metrics->CounterSlot("engine.scheduler_picks")),
       engine_retired_deliveries_(metrics->CounterSlot("engine.retired_deliveries")),
       engine_mem_deliveries_(metrics->CounterSlot("engine.mem_deliveries")),
       engine_dispatched_(metrics->CounterSlot("engine.dispatched_events")),
@@ -287,6 +288,7 @@ void RunMetricsPublisher::PublishVm(const RunStats& stats) {
   *vm_thread_events_ += stats.thread_events;
   vm_run_steps_->Observe(stats.steps);
   *engine_bursts_ += stats.bursts;
+  *engine_scheduler_picks_ += stats.picks;
   *engine_retired_deliveries_ += stats.retired_deliveries;
   *engine_mem_deliveries_ += stats.mem_deliveries;
   *engine_dispatched_ += stats.dispatched_events;

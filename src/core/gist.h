@@ -298,6 +298,7 @@ class RunMetricsPublisher {
   uint64_t* vm_thread_events_;
   Histogram* vm_run_steps_;
   uint64_t* engine_bursts_;
+  uint64_t* engine_scheduler_picks_;
   uint64_t* engine_retired_deliveries_;
   uint64_t* engine_mem_deliveries_;
   uint64_t* engine_dispatched_;

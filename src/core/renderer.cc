@@ -32,11 +32,14 @@ std::string RenderFailureSketch(const Module& module, const FailureSketch& sketc
 
   const uint32_t width = options.column_width;
   // Header: Time | Thread T<id> columns.
-  out += "\n" + PadRight("Time", 6);
+  out += '\n';
+  out += PadRight("Time", 6);
   for (ThreadId tid : sketch.threads) {
     out += PadRight(StrFormat("Thread T%u", tid), width);
   }
-  out += "\n" + std::string(6 + width * sketch.threads.size(), '-') + "\n";
+  out += '\n';
+  out.append(6 + width * sketch.threads.size(), '-');
+  out += '\n';
 
   auto column = [&](ThreadId tid) {
     for (size_t i = 0; i < sketch.threads.size(); ++i) {

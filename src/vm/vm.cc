@@ -159,6 +159,7 @@ ThreadId Vm::SpawnThread(FunctionId function, const std::vector<Word>& args, boo
   }
   thread.stack.push_back(std::move(frame));
   threads_.push_back(std::move(thread));
+  ++runnable_;
   ++result_.stats.threads_created;
   if (!is_main) {
     ++result_.stats.thread_events;
@@ -206,6 +207,7 @@ void Vm::NotifyBlockEnter(ThreadState& thread) {
 
 void Vm::ExitThread(ThreadState& thread) {
   thread.status = ThreadStatus::kExited;
+  --runnable_;
   ++result_.stats.thread_events;
   Dispatch(on_thread_event_, [&](ExecutionObserver& o) { o.OnThreadExit(thread.id); });
   // Wake joiners.
@@ -213,6 +215,7 @@ void Vm::ExitThread(ThreadState& thread) {
     if (other.status == ThreadStatus::kBlockedJoin && other.join_target == thread.id) {
       other.status = ThreadStatus::kRunnable;
       other.join_target = kNoThread;
+      ++runnable_;
     }
   }
 }
@@ -306,10 +309,10 @@ uint64_t Vm::StepBurst(ThreadState& thread, uint64_t max_count) {
   while (executed < max_count) {
     // Fused entry: at a block boundary, or mid-block on the burst's first
     // iteration (the previous quantum usually ends inside a block). The chain
-    // runs exactly the ops the quantum covers — at in-chain exhaustion it
-    // renews the quantum itself (RenewQuantum), extending this burst — so
-    // scheduling still lands on the same instruction boundaries as the fast
-    // path.
+    // runs exactly the ops the quantum covers — or, when this is the only
+    // runnable thread, on through later quanta whose boundaries it settles
+    // on exit, extending this burst — so scheduling still lands on the same
+    // instruction boundaries as per-op interpretation.
     if (fused_active && (index == 0 || executed == 0)) {
       const FusedBlock* fb = fused_entry_[block->profile_index];
       if (fb != nullptr) {
@@ -325,7 +328,7 @@ uint64_t Vm::StepBurst(ThreadState& thread, uint64_t max_count) {
         using kYes = std::true_type;
         executed += quiet ? (prof == nullptr ? run_chain(kNo{}, kNo{}) : run_chain(kNo{}, kYes{}))
                           : (prof == nullptr ? run_chain(kYes{}, kNo{}) : run_chain(kYes{}, kYes{}));
-        max_count += chain_extended_ - extended_before;  // renewals grew the burst
+        max_count += chain_extended_ - extended_before;  // settled bursts grew it
         if (done_) {
           return executed;  // fault inside the fused body; frame already synced
         }
@@ -609,6 +612,7 @@ uint64_t Vm::StepBurst(ThreadState& thread, uint64_t max_count) {
         if (joinee.status != ThreadStatus::kExited) {
           thread.status = ThreadStatus::kBlockedJoin;
           thread.join_target = joinee.id;
+          --runnable_;
           // Re-execute the join when woken; keep the pc on this instruction.
           --index;
           retire();
@@ -631,6 +635,7 @@ uint64_t Vm::StepBurst(ThreadState& thread, uint64_t max_count) {
         } else if (mutex.owner != tid) {
           thread.status = ThreadStatus::kBlockedLock;
           thread.lock_target = addr;
+          --runnable_;
           mutex.waiters.push_back(tid);
           --index;  // retry the acquire when woken
           retire();
@@ -657,6 +662,7 @@ uint64_t Vm::StepBurst(ThreadState& thread, uint64_t max_count) {
             if (threads_[waiter].status == ThreadStatus::kBlockedLock) {
               threads_[waiter].status = ThreadStatus::kRunnable;
               threads_[waiter].lock_target = kNullAddr;
+              ++runnable_;
               break;
             }
           }
@@ -690,21 +696,24 @@ uint64_t Vm::StepBurst(ThreadState& thread, uint64_t max_count) {
 // land on fused successors. The straight-line loop is the executor's whole
 // point: no per-op bounds check, budget check, hook probe, profile pointer
 // test, or retire branch — those costs are paid once per quantum chunk or
-// once per region instead. When the burst budget dies inside the
-// region, RenewQuantum runs the scheduler boundary in place: the chain keeps
-// going whenever the same thread is rescheduled (the hot single-threaded
-// case) and deopts on an actual handoff, so fused chains span quanta without
-// moving a single scheduling boundary.
+// once per region instead. When the burst budget is spent inside the region
+// and this is the only runnable thread (the hot single-threaded case), the
+// chain does not stop: fused ops cannot spawn, block, unlock or exit, so the
+// runnable set cannot change before the chain exits, and every boundary in
+// between would pick this thread again. The budget is raised to the run's
+// step limit and the crossed boundaries are settled at the exit
+// (SettleSoloBoundaries). With more than one runnable thread, or at the step
+// limit, the chain deopts on the spent budget and Run() runs the boundary.
 //
 // Byte identity with StepBurst is preserved op for op:
 //   * counters (mem_accesses, access_seq_, branches, block_enters, bursts,
 //     context_switches, profile exec/retired/edges) take identical final
 //     values — retired is charged per quantum chunk instead of per op, which
 //     is invisible outside the run;
-//   * scheduler state is identical: a renewal consumes the same PickNext()
-//     and quantum-re-roll rng draws at the same retired-instruction boundary
-//     StepBurst would, and dispatches the same OnContextSwitch when the
-//     pick changes threads;
+//   * scheduler state is identical: the settle consumes the same pick and
+//     quantum-re-roll rng draws, in the same order, for the same boundaries
+//     Run() would have run one by one, and no boundary a solo chain crosses
+//     switches context;
 //   * kObserved replicates the exact deliveries and boundary dispatches:
 //     straight-line accesses are delivered in op order (subject to the same
 //     armed-address filter), a kBr dispatches its branch event and then
@@ -734,6 +743,15 @@ uint64_t Vm::RunFusedChain(ThreadState& thread, const FusedBlock* fb, uint32_t i
   uint64_t executed = 0;
   const FusedOp* chunk_begin = nullptr;
   ++result_.stats.fused_chains;
+  // Solo stretch: the chain-relative position of the first scheduler
+  // boundary crossed and not yet settled (0: the chain is not solo; the
+  // first boundary lies at executed == budget >= 1).
+  uint64_t solo_boundary = 0;
+  auto settle = [&] {
+    if (solo_boundary != 0) {
+      SettleSoloBoundaries(steps_base + solo_boundary, steps_base + executed);
+    }
+  };
   const FusedBlock* const* const fused_entries = fused_entry_.data();
 
   // Counters the hot loop bumps once or more per block, accumulated in
@@ -760,6 +778,7 @@ uint64_t Vm::RunFusedChain(ThreadState& thread, const FusedBlock* fb, uint32_t i
     executed += ops_done;
     c_retired += ops_done;
     flush_stats();
+    settle();
     if constexpr (kProfiled) {
       prof->retired[fb->profile_index] += ops_done;
     }
@@ -828,18 +847,22 @@ chunk_next:
     goto* kDispatch[static_cast<size_t>(op->exec)];
   }
   if (executed == budget) {
-    const uint64_t renewed = RenewQuantum(thread, steps_base + executed);
-    if (renewed == 0) {
-      flush_stats();
-      *resume = fb->block;
-      *resume_index = index;  // index == body: resume on the terminator itself
-      return executed;
+    // The quantum is spent. Alone, and short of the step limit: run on to
+    // the limit, settling the boundaries at the exit. A solo chain reaches
+    // this point again only at the limit.
+    if (solo_boundary == 0 && runnable_ == 1 && steps_base + executed < step_limit_) {
+      solo_boundary = executed;
+      budget = step_limit_ - steps_base;
+      goto chunk_next;
     }
-    budget += renewed;
-    goto chunk_next;
+    flush_stats();
+    settle();
+    *resume = fb->block;
+    *resume_index = index;  // index == body: resume on the terminator itself
+    return executed;
   }
   // The budget expires at or before the terminator: run the body ops the
-  // quantum still covers, land in chunk_done, renew, repeat.
+  // quantum still covers, land in chunk_done, and come back here.
   op = body_ops + index;
   end = op + (budget - executed);
   chunk_begin = op;
@@ -847,7 +870,7 @@ chunk_next:
 
 chunk_done:
   // Partial-chunk accounting: these ops retired (matching StepBurst's per-op
-  // retired bumps); the budget is now exactly spent, chunk_next renews.
+  // retired bumps); the budget is now exactly spent, chunk_next decides.
   {
     const uint64_t done = static_cast<uint64_t>(op - chunk_begin);
     index += static_cast<uint32_t>(done);
@@ -1042,11 +1065,12 @@ chunk_done:
           });
         }
       }
-      // Chain or deopt: stay fused while the successor has a fused body — the
-      // quantum is no longer a reason to leave, renewal handles it above.
+      // Chain or deopt: stay fused while the successor has a fused body — a
+      // spent quantum is decided at chunk_next above.
       const FusedBlock* const next_fb = fused_entries[next_pi];
       if (next_fb == nullptr) {
         flush_stats();
+        settle();
         *resume = next;
         *resume_index = 0;
         return executed;
@@ -1057,79 +1081,58 @@ chunk_done:
     }
 }
 
-// See the declaration for the contract. Correctness hinges on the call
-// condition: the fused executor renews only when its budget is exactly spent,
-// and a burst clamped below the quantum means the step budget or an injected
-// kill lands at the burst's end — both exits below fire before any randomness
-// is consumed, so Run()'s loop top re-detects them on unchanged state.
-// Past those, the clamps guarantee the active quantum itself is spent, which
-// is precisely Run()'s need_switch condition.
-uint64_t Vm::RenewQuantum(ThreadState& thread, uint64_t steps_now) {
-  if (options_.kill_after_steps != 0 && steps_now >= options_.kill_after_steps) {
-    return 0;  // Run()'s loop top records the injected death
+// See the declaration for the contract. Run() would reach each of these
+// boundaries with the quantum spent and this thread the only runnable one:
+// PickNext() makes its one draw and picks it again, no context switch, a
+// fresh quantum. `boundary < end <= step_limit_` holds for every boundary
+// settled, so Run()'s limit checks would pass and only its clamps apply. A
+// boundary at `end` itself is Run()'s: after a deopt or fault it finds the
+// quantum spent on unchanged state and runs it; at the step limit it stops
+// the run before any draw.
+void Vm::SettleSoloBoundaries(uint64_t boundary, uint64_t end) {
+  while (boundary < end) {
+    AuditRunnable();
+    rng_.NextU64();  // PickNext()'s draw with one runnable thread
+    const uint64_t quantum = workload_.min_quantum + rng_.NextBelow(quantum_draw_);
+    const uint64_t burst = std::min<uint64_t>(quantum == 0 ? 1 : quantum, step_limit_ - boundary);
+    ++result_.stats.bursts;
+    owed_quantum_ = quantum - std::min(quantum, burst);
+    chain_extended_ += burst;
+    boundary += burst;
   }
-  if (steps_now >= options_.max_steps) {
-    return 0;  // Run()'s loop top raises the hang
-  }
-  // `thread` is mid-execution (fused ops cannot block or exit), so it is
-  // runnable and PickNext() cannot come up empty.
-  const ThreadId next = PickNext();
-  const uint64_t quantum = workload_.min_quantum + rng_.NextBelow(quantum_draw_);
-  chain_renewed_ = true;
-  chain_next_ = next;
-  if (next != thread.id) {
-    ++result_.stats.context_switches;
-    const CoreId core = threads_[next].core;
-    const ThreadId prev = core_occupant_[core];
-    core_occupant_[core] = next;
-    const Frame& next_frame = threads_[next].stack.back();
-    Dispatch(on_context_switch_, [&](ExecutionObserver& o) {
-      o.OnContextSwitch(core, prev, next, next_frame.function->id, next_frame.block->id,
-                        next_frame.index);
-    });
-    chain_switched_ = true;
-    chain_quantum_ = quantum;  // the incoming thread's fresh, unconsumed quantum
-    return 0;
-  }
-  // Same thread: extend the running burst, with Run()'s exact clamps.
-  uint64_t burst = quantum == 0 ? 1 : quantum;
-  const uint64_t remaining = options_.max_steps - steps_now;
-  if (burst > remaining) {
-    burst = remaining;
-  }
-  if (options_.kill_after_steps != 0) {
-    const uint64_t until_kill = options_.kill_after_steps - steps_now;
-    if (burst > until_kill) {
-      burst = until_kill;
-    }
-  }
-  ++result_.stats.bursts;
-  chain_quantum_ = quantum > burst ? quantum - burst : 0;  // owed past this burst
-  chain_extended_ += burst;
-  return burst;
 }
 
-ThreadId Vm::PickNext() {
-  uint32_t runnable = 0;
-  ThreadId only = kNoThread;
-  for (const ThreadState& thread : threads_) {
-    if (thread.status == ThreadStatus::kRunnable) {
-      ++runnable;
-      only = thread.id;
-    }
+std::atomic<bool> Vm::audit_runnable_{false};
+std::atomic<uint64_t> Vm::runnable_audits_{0};
+
+void Vm::AuditRunnable() const {
+  if (!audit_runnable_.load(std::memory_order_relaxed)) {
+    return;
   }
-  if (runnable == 0) {
+  const auto scanned = std::count_if(threads_.begin(), threads_.end(), [](const ThreadState& t) {
+    return t.status == ThreadStatus::kRunnable;
+  });
+  GIST_CHECK_EQ(static_cast<uint64_t>(scanned), runnable_) << "runnable count drifted";
+  runnable_audits_.fetch_add(1, std::memory_order_relaxed);
+}
+
+ThreadId Vm::PickNext(ThreadId current) {
+  ++result_.stats.picks;
+  AuditRunnable();
+  if (runnable_ == 0) {
     return kNoThread;
   }
-  if (runnable == 1) {
+  if (runnable_ == 1) {
     // NextBelow(1) always accepts its first sample and returns 0; consume the
     // same draw without the modulo.
     rng_.NextU64();
-    return only;
+    if (threads_[current].status == ThreadStatus::kRunnable) {
+      return current;
+    }
   }
   // Equivalent to collecting runnable ids in order and indexing: threads_ is
   // already in thread-id order.
-  uint64_t pick = rng_.NextBelow(runnable);
+  uint64_t pick = runnable_ == 1 ? 0 : rng_.NextBelow(runnable_);
   for (const ThreadState& thread : threads_) {
     if (thread.status != ThreadStatus::kRunnable) {
       continue;
@@ -1158,12 +1161,11 @@ RunResult Vm::Run() {
   }
 
   quantum_draw_ = FixedBound(workload_.max_quantum - workload_.min_quantum + 1);
+  step_limit_ = options_.max_steps;
+  if (options_.kill_after_steps != 0) {
+    step_limit_ = std::min(step_limit_, options_.kill_after_steps);
+  }
   uint64_t quantum = workload_.min_quantum + rng_.NextBelow(quantum_draw_);
-  // Set when the fused executor already ran the scheduler boundary in place
-  // (a quantum renewal that handed off to another thread, DESIGN.md §12):
-  // the pick, dispatch, and re-roll all happened, so the boundary below must
-  // not run a second time.
-  bool skip_boundary = false;
 
   while (!done_) {
     if (options_.kill_after_steps != 0 && result_.stats.steps >= options_.kill_after_steps) {
@@ -1184,11 +1186,8 @@ RunResult Vm::Run() {
     }
 
     ThreadState* thread = &threads_[current];
-    const bool need_switch =
-        !skip_boundary && (thread->status != ThreadStatus::kRunnable || quantum == 0);
-    skip_boundary = false;
-    if (need_switch) {
-      const ThreadId next = PickNext();
+    if (thread->status != ThreadStatus::kRunnable || quantum == 0) {
+      const ThreadId next = PickNext(current);
       if (next == kNoThread) {
         bool any_blocked = false;
         for (const ThreadState& t : threads_) {
@@ -1229,44 +1228,22 @@ RunResult Vm::Run() {
     }
     // Execute the whole quantum as one burst. A zero quantum (possible when
     // the workload's min_quantum is 0) historically still ran one instruction
-    // per scheduling decision, so the burst floor is 1; the cap keeps the
-    // step-budget check exact.
-    uint64_t burst = quantum == 0 ? 1 : quantum;
-    const uint64_t remaining = options_.max_steps - result_.stats.steps;
-    if (burst > remaining) {
-      burst = remaining;
-    }
-    if (options_.kill_after_steps != 0) {
-      // Clamp so the injected death lands on its exact instruction count,
-      // independent of quantum draws — fault plans stay bit-reproducible.
-      const uint64_t until_kill = options_.kill_after_steps - result_.stats.steps;
-      if (burst > until_kill) {
-        burst = until_kill;
-      }
-    }
-    chain_renewed_ = false;
-    chain_switched_ = false;
+    // per scheduling decision, so the burst floor is 1. The cap keeps the
+    // step-budget check exact and lands an injected death on its exact
+    // instruction count, independent of quantum draws, so fault plans stay
+    // bit-reproducible.
+    const uint64_t burst =
+        std::min<uint64_t>(quantum == 0 ? 1 : quantum, step_limit_ - result_.stats.steps);
+    owed_quantum_ = quantum - std::min(quantum, burst);
     chain_extended_ = 0;
     ++result_.stats.bursts;
     const uint64_t executed = StepBurst(*thread, burst);
     result_.stats.steps += executed;
-    if (chain_renewed_) {
-      // The fused executor crossed scheduler boundaries inside this burst.
-      // Adopt its final state: after a handoff the incoming thread owns a
-      // fresh quantum and the boundary already ran; otherwise what's owed on
-      // the thread's last quantum is the last renewal's leftover plus any
-      // granted budget the burst didn't consume (a fault or block cut it
-      // short).
-      if (chain_switched_) {
-        current = chain_next_;
-        quantum = chain_quantum_;
-        skip_boundary = true;
-      } else {
-        quantum = chain_quantum_ + (burst + chain_extended_ - executed);
-      }
-    } else {
-      quantum -= std::min(executed, quantum);
-    }
+    // The thread owes what is left of its last quantum: the part past the
+    // last burst's end, plus any granted budget the burst did not run (a
+    // block, exit or fault cut it short). A burst always runs at least one
+    // instruction, so a zero quantum stays zero.
+    quantum = owed_quantum_ + (burst + chain_extended_ - executed);
   }
   result_.stats.retired = result_.stats.steps - unretired_steps_;
   return result_;

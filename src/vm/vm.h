@@ -26,6 +26,7 @@
 #ifndef GIST_SRC_VM_VM_H_
 #define GIST_SRC_VM_VM_H_
 
+#include <atomic>
 #include <deque>
 #include <map>
 #include <memory>
@@ -117,7 +118,8 @@ struct RunStats {
   // reference) and land under the flight recorder's "engine." namespace,
   // which the cross-interpreter determinism tests exclude; everything above
   // is mode-independent.
-  uint64_t bursts = 0;              // StepBurst invocations
+  uint64_t bursts = 0;              // scheduling quanta started (see DESIGN.md §12)
+  uint64_t picks = 0;               // PickNext calls: boundaries a solo chain did not settle
   uint64_t retired_deliveries = 0;  // retired events delivered (once each)
   uint64_t mem_deliveries = 0;      // mem-access events delivered (once each)
   uint64_t dispatched_events = 0;   // observer callback payloads delivered
@@ -186,32 +188,35 @@ class Vm {
   uint64_t StepBurst(ThreadState& thread, uint64_t max_count);
   // Fused executor (DESIGN.md §12): runs fused block bodies
   // starting at instruction `index` of `fb`, staying inside fusion regions
-  // while successors are fused. When the burst budget dies inside the region
-  // it consumes the scheduler boundary itself (RenewQuantum) and keeps going
-  // if the same thread is rescheduled, so hot single-threaded chains span
-  // many quanta. Returns the instructions retired and the deopt position
-  // (block + index, enter accounting already done) via `resume`/
-  // `resume_index`; `steps_base` is the run's retired count at chain entry
-  // (the renewal budget checks need it live). kObserved replicates the fast
-  // path's exact access deliveries and boundary dispatches; !kObserved is the
-  // pure-compute loop. kProfiled mirrors options_.profile != nullptr so the
-  // common unprofiled configuration carries no per-block profile tests. On a
-  // fault the frame is synced to the faulting op and done_ is set.
+  // while successors are fused. When the burst budget is spent inside the
+  // region and `thread` is the only runnable thread, the chain runs on to
+  // the run's step limit and settles the scheduler boundaries it crossed
+  // when it exits (SettleSoloBoundaries); with more than one runnable thread
+  // it deopts so Run() runs the boundary. Returns the instructions retired
+  // and the deopt position (block + index, enter accounting already done)
+  // via `resume`/`resume_index`; `steps_base` is the run's retired count at
+  // chain entry. kObserved replicates the fast path's exact access
+  // deliveries and boundary dispatches; !kObserved is the pure-compute loop.
+  // kProfiled mirrors options_.profile != nullptr so the common unprofiled
+  // configuration carries no per-block profile tests. On a fault the frame
+  // is synced to the faulting op and done_ is set.
   template <bool kObserved, bool kProfiled>
   uint64_t RunFusedChain(ThreadState& thread, const FusedBlock* fb, uint32_t index,
                          uint64_t budget, uint64_t steps_base, const DecodedBlock** resume,
                          uint32_t* resume_index);
-  // Scheduler boundary run in place by the fused executor when its quantum is
-  // exactly spent (DESIGN.md §12): replicates Run()'s loop top bit for bit —
-  // budget checks, one PickNext() draw, context-switch accounting/dispatch,
-  // quantum re-roll, burst count — and returns the renewed burst when
-  // `thread` itself is rescheduled. Returns 0 when the chain must unwind: the
-  // run is out of budget (Run()'s loop top re-detects it on unchanged state)
-  // or another thread was picked (the chain_* channel carries the handoff).
-  uint64_t RenewQuantum(ThreadState& thread, uint64_t steps_now);
+  // Settles the scheduler boundaries a solo fused chain crossed: every one
+  // at a retired count in [boundary, end) — the exit position itself is left
+  // to Run() — gets the draws Run() would make with one runnable thread (the
+  // pick, the quantum re-roll) and starts a burst with Run()'s floor and
+  // step/kill clamps. Leaves owed_quantum_ and chain_extended_ exactly as
+  // Run() running each boundary would (DESIGN.md §12).
+  void SettleSoloBoundaries(uint64_t boundary, uint64_t end);
   void ExitThread(ThreadState& thread);
-  // Selects the next thread to run; kNoThread if none are runnable.
-  ThreadId PickNext();
+  // Selects the next thread to run after `current`; kNoThread if none are
+  // runnable. One draw with one runnable thread, NextBelow(runnable_) else.
+  ThreadId PickNext(ThreadId current);
+  // Test-only audit of runnable_ against a scan of threads_ (VmTestPeer).
+  void AuditRunnable() const;
   void RaiseFailure(ThreadState& thread, FailureType type, InstrId instr,
                     const std::string& message);
   // RaiseFailure for an executing op that faulted: the op was charged to the
@@ -262,6 +267,10 @@ class Vm {
   // workload's span on Run() entry.
   FixedBound quantum_draw_{1};
   std::vector<ThreadState> threads_;
+  // Threads in threads_ with status kRunnable, kept at every status change.
+  uint32_t runnable_ = 0;
+  // min(max_steps, kill_after_steps when set): where Run() stops the run.
+  uint64_t step_limit_ = 0;
   std::map<Addr, Mutex> mutexes_;
   std::vector<ThreadId> core_occupant_;  // per core, for context-switch events
   RunResult result_;
@@ -296,15 +305,20 @@ class Vm {
   // per-run deopt exclusions (blocks holding a site in force).
   std::vector<const FusedBlock*> fused_entry_;
 
-  // Quantum-renewal channel between the fused executor and Run()'s scheduler
-  // loop (DESIGN.md §12). When RunFusedChain consumes scheduler boundaries in
-  // place, these carry the resulting scheduler state back so Run() adopts it
-  // instead of running the boundary a second time. Reset before every burst.
-  bool chain_renewed_ = false;   // ≥1 boundary consumed inside the chain
-  bool chain_switched_ = false;  // ...and the last one picked another thread
-  ThreadId chain_next_ = 0;      // the last boundary's pick
-  uint64_t chain_quantum_ = 0;   // switched: its fresh quantum; else steps owed
-  uint64_t chain_extended_ = 0;  // budget renewals added to the running burst
+  // The running burst's quantum state, shared by Run() and the solo settle
+  // (DESIGN.md §12). Run() sets both before every burst; each settled
+  // boundary starts a new burst, overwriting owed_quantum_ and adding its
+  // length to chain_extended_. After the burst the thread owes
+  // owed_quantum_ plus whatever granted budget it did not run.
+  uint64_t owed_quantum_ = 0;    // quantum left past the current burst's end
+  uint64_t chain_extended_ = 0;  // settled bursts added to the running one
+
+  // Test-only (tests/vm_fastpath_test.cc, through VmTestPeer): when set,
+  // every scheduler boundary checks runnable_ against a scan of threads_
+  // and counts itself in runnable_audits_.
+  static std::atomic<bool> audit_runnable_;
+  static std::atomic<uint64_t> runnable_audits_;
+  friend class VmTestPeer;
 };
 
 }  // namespace gist

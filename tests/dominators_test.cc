@@ -9,6 +9,7 @@
 #include "src/ir/builder.h"
 #include "src/ir/parser.h"
 #include "src/support/rng.h"
+#include "src/support/str.h"
 
 namespace gist {
 namespace {
@@ -106,7 +107,7 @@ std::unique_ptr<Module> RandomCfgModule(uint64_t seed, uint32_t num_blocks) {
   std::vector<BlockId> blocks;
   blocks.push_back(0);
   for (uint32_t i = 1; i < num_blocks; ++i) {
-    blocks.push_back(b.NewBlock("b" + std::to_string(i)).id());
+    blocks.push_back(b.NewBlock(StrFormat("b%u", i)).id());
   }
   for (uint32_t i = 0; i < num_blocks; ++i) {
     b.SetInsertBlock(blocks[i]);

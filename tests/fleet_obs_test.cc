@@ -170,7 +170,8 @@ MonitoredRun RunSnapshotWith(const Module& module, const PlanSnapshot& snapshot,
     vm_options.decoded = snapshot.decoded().get();
   }
   Vm vm(module, workload, vm_options);
-  MonitoredRun run{vm.Run(), RunTrace{}, RunObsSample{}};
+  MonitoredRun run;
+  run.result = vm.Run();
   run.trace = runtime.TakeTrace(/*run_id=*/0, run.result);
   run.obs.traced_branches = runtime.tracer().traced_branches();
   run.obs.watch_denied_arms = runtime.watchpoints().denied_arms();

@@ -2,6 +2,7 @@
 
 #include "src/apps/app.h"
 #include "src/coop/fleet.h"
+#include "src/support/str.h"
 
 namespace gist {
 namespace {
@@ -92,7 +93,7 @@ TEST(FleetTest, CooperativeWatchRotationCoversAllAccessesAcrossClients) {
   IrBuilder b(module);
   std::vector<GlobalId> globals;
   for (int i = 0; i < 6; ++i) {
-    globals.push_back(module.CreateGlobal("g" + std::to_string(i), 1, 1));
+    globals.push_back(module.CreateGlobal(StrFormat("g%d", i), 1, 1));
   }
   b.StartFunction("main", 0);
   Reg sum = b.Const(0);

@@ -15,6 +15,7 @@
 #include "src/ir/builder.h"
 #include "src/ir/verifier.h"
 #include "src/support/rng.h"
+#include "src/support/str.h"
 #include "src/vm/vm.h"
 
 namespace gist {
@@ -58,9 +59,9 @@ GeneratedProgram Generate(uint64_t seed) {
       // Diamond: both sides reassign the same register differently.
       const Reg victim = random_reg();
       const Reg cond = random_reg();
-      BasicBlock& then_block = b.NewBlock("t" + std::to_string(label));
-      BasicBlock& else_block = b.NewBlock("e" + std::to_string(label));
-      BasicBlock& merge = b.NewBlock("m" + std::to_string(label));
+      BasicBlock& then_block = b.NewBlock(StrFormat("t%d", label));
+      BasicBlock& else_block = b.NewBlock(StrFormat("e%d", label));
+      BasicBlock& merge = b.NewBlock(StrFormat("m%d", label));
       ++label;
       b.Br(cond, then_block.id(), else_block.id());
       b.SetInsertBlock(then_block);
@@ -77,9 +78,9 @@ GeneratedProgram Generate(uint64_t seed) {
       const Reg i = b.Const(0);
       const Reg bound = b.Const(static_cast<int64_t>(1 + rng.NextBelow(4)));
       const Reg one = b.Const(1);
-      BasicBlock& head = b.NewBlock("lh" + std::to_string(label));
-      BasicBlock& body = b.NewBlock("lb" + std::to_string(label));
-      BasicBlock& done = b.NewBlock("ld" + std::to_string(label));
+      BasicBlock& head = b.NewBlock(StrFormat("lh%d", label));
+      BasicBlock& body = b.NewBlock(StrFormat("lb%d", label));
+      BasicBlock& done = b.NewBlock(StrFormat("ld%d", label));
       ++label;
       b.Jmp(head.id());
       b.SetInsertBlock(head);

@@ -14,9 +14,24 @@
 #include "src/apps/app.h"
 #include "src/coop/wire.h"
 #include "src/core/gist.h"
+#include "src/ir/parser.h"
+#include "src/pt/tracer.h"
 #include "src/replay/recorder.h"
 
 namespace gist {
+
+// Switches on the VM's runnable-count audit: every scheduler boundary, in
+// Run() and in a solo chain's settle, checks the count against a scan of the
+// thread table (a mismatch aborts the test binary).
+class VmTestPeer {
+ public:
+  explicit VmTestPeer() { Vm::audit_runnable_.store(true); }
+  ~VmTestPeer() { Vm::audit_runnable_.store(false); }
+  VmTestPeer(const VmTestPeer&) = delete;
+  VmTestPeer& operator=(const VmTestPeer&) = delete;
+  static uint64_t audits() { return Vm::runnable_audits_.load(); }
+};
+
 namespace {
 
 // Deterministic per-run workload mapping (any fixed mapping works; this one
@@ -81,7 +96,8 @@ MonitoredRun RunSnapshot(const Module& module, const PlanSnapshot& snapshot,
   vm_options.decoded = snapshot.decoded().get();
   vm_options.reference_dispatch = tier == ExecTier::kReference;
   Vm vm(module, workload, vm_options);
-  MonitoredRun run{vm.Run(), RunTrace{}};
+  MonitoredRun run;
+  run.result = vm.Run();
   run.trace = runtime.TakeTrace(/*run_id=*/0, run.result);
   return run;
 }
@@ -225,6 +241,222 @@ TEST_P(VmFastPathTest, PlanOnlyRunMonitoredHonoursTier) {
     fast_chains += fast.result.stats.fused_chains;
   }
   EXPECT_GT(fast_chains, 0u) << GetParam() << ": fast runs never fused";
+}
+
+// --- solo-chain catch-up (DESIGN.md §12) ------------------------------------
+// A fused chain whose thread is the only runnable one runs past its quantum
+// and settles the crossed scheduler boundaries when it exits. These programs
+// mix long solo fused loops with every runnable-set transition (spawn, a
+// blocking join and lock, an unlock that wakes a waiter, exits that wake
+// joiners) and compare fast against reference dispatch, quiet and under a
+// full-program PT tracer, across quantum shapes and step/kill limits.
+
+// main: a solo loop, two workers contending on a lock (one blocks, the
+// holder runs a solo loop while main is blocked on a join), the holder's
+// unlock wakes the waiter, the joins wake main, then a final solo loop.
+// input 0 is a divisor the fused block after that loop uses: 0 faults
+// inside the solo chain (on a scheduler boundary whenever every quantum is
+// one instruction long).
+constexpr const char* kCatchUpProgram = R"(
+global mu 1 0
+global cell 1 0
+func worker(1) {
+entry:
+  r1 = addrof mu
+  lock r1
+  r2 = const 0
+  r3 = const 1
+  jmp ^spin
+spin:
+  r2 = add r2, r3
+  r4 = lt r2, r0
+  br r4, ^spin, ^release
+release:
+  r5 = addrof cell
+  r6 = load r5
+  r7 = add r6, r2
+  store r5, r7
+  unlock r1
+  ret
+}
+func main() {
+entry:
+  r0 = const 0
+  r1 = const 1
+  r2 = const 300
+  jmp ^warm
+warm:
+  r0 = add r0, r1
+  r3 = lt r0, r2
+  br r3, ^warm, ^fork
+fork:
+  r4 = const 120
+  r5 = spawn @worker(r4)
+  r6 = const 90
+  r7 = spawn @worker(r6)
+  join r5
+  join r7
+  r8 = const 0
+  jmp ^cool
+cool:
+  r8 = add r8, r1
+  r9 = lt r8, r2
+  br r9, ^cool, ^check
+check:
+  r10 = input 0
+  r11 = div r8, r10
+  jmp ^tail
+tail:
+  r12 = addrof cell
+  r13 = load r12
+  print r13
+  print r11
+  ret
+}
+)";
+
+struct TierRun {
+  RunResult result;
+  std::vector<std::vector<uint8_t>> pt;  // per core; empty for quiet runs
+};
+
+TierRun RunTier(const Module& module, const Workload& workload, VmOptions options,
+                bool reference, bool traced) {
+  options.reference_dispatch = reference;
+  PtTracer tracer(options.num_cores, kDefaultPtBufferBytes, /*always_on=*/true);
+  if (traced) {
+    options.observers = {&tracer};
+  }
+  TierRun run;
+  run.result = Vm(module, workload, options).Run();
+  if (traced) {
+    tracer.FlushAllPending();
+    for (CoreId core = 0; core < tracer.num_cores(); ++core) {
+      run.pt.push_back(tracer.buffer(core).bytes());
+    }
+  }
+  return run;
+}
+
+// Fast vs reference on RunResult (failure, outputs, steps, retired,
+// context_switches, bursts, killed) and on the PT bytes, quiet and traced.
+// Returns the quiet fast run.
+RunResult ExpectTiersAgree(const Module& module, const Workload& workload,
+                           const VmOptions& options, const std::string& label) {
+  RunResult quiet_fast;
+  for (const bool traced : {false, true}) {
+    const std::string where = label + (traced ? " traced" : " quiet");
+    const TierRun fast = RunTier(module, workload, options, /*reference=*/false, traced);
+    const TierRun ref = RunTier(module, workload, options, /*reference=*/true, traced);
+    ExpectSameResult(fast.result, ref.result, where);
+    EXPECT_EQ(fast.result.stats.bursts, ref.result.stats.bursts) << where;
+    EXPECT_EQ(fast.result.killed, ref.result.killed) << where;
+    EXPECT_EQ(fast.pt, ref.pt) << where;
+    EXPECT_EQ(ref.result.stats.fused_chains, 0u) << where;
+    if (!traced) {
+      quiet_fast = fast.result;
+    }
+  }
+  return quiet_fast;
+}
+
+std::unique_ptr<Module> ParseCatchUpProgram() {
+  auto module = ParseModule(kCatchUpProgram);
+  EXPECT_TRUE(module.ok()) << module.error().message();
+  return module.ok() ? std::move(*module) : nullptr;
+}
+
+struct QuantumShape {
+  uint32_t min_quantum;
+  uint32_t max_quantum;
+};
+
+// Default quanta, a zero floor, a zero-only quantum (burst floor 1 at every
+// boundary), fixed quanta (FixedBound of 1) and long ones.
+constexpr QuantumShape kShapes[] = {{1, 12}, {0, 3}, {0, 0}, {1, 1}, {7, 7}, {20, 90}};
+
+TEST(VmSoloCatchUpTest, MatchesReferenceAcrossQuantaAndSeeds) {
+  std::unique_ptr<Module> module = ParseCatchUpProgram();
+  ASSERT_NE(module, nullptr);
+  VmTestPeer audit;
+  const uint64_t audits_before = VmTestPeer::audits();
+  for (const QuantumShape& shape : kShapes) {
+    for (uint64_t seed = 1; seed <= 6; ++seed) {
+      for (const Word divisor : {Word{1}, Word{0}}) {
+        Workload workload;
+        workload.inputs = {divisor};
+        workload.schedule_seed = seed;
+        workload.min_quantum = shape.min_quantum;
+        workload.max_quantum = shape.max_quantum;
+        VmOptions options;
+        options.num_cores = 1 + static_cast<uint32_t>(seed % 3);
+        const std::string label = "quantum [" + std::to_string(shape.min_quantum) + "," +
+                                  std::to_string(shape.max_quantum) + "] seed " +
+                                  std::to_string(seed) + " divisor " + std::to_string(divisor);
+        const RunResult fast = ExpectTiersAgree(*module, workload, options, label);
+        EXPECT_EQ(fast.failure.type,
+                  divisor == 0 ? FailureType::kArithmeticFault : FailureType::kNone)
+            << label;
+        EXPECT_GT(fast.stats.fused_chains, 0u) << label;
+        // Solo boundaries are settled without a PickNext call.
+        EXPECT_LT(fast.stats.picks * 2, fast.stats.bursts) << label;
+      }
+    }
+  }
+  EXPECT_GT(VmTestPeer::audits(), audits_before);
+}
+
+// max_steps / kill_after_steps landing inside a solo stretch: on a scheduler
+// boundary, one step before it and one after it.
+TEST(VmSoloCatchUpTest, StepAndKillLimitsInsideSoloStretches) {
+  std::unique_ptr<Module> module = ParseCatchUpProgram();
+  ASSERT_NE(module, nullptr);
+  VmTestPeer audit;
+  for (const QuantumShape& shape : kShapes) {
+    for (uint64_t seed = 1; seed <= 3; ++seed) {
+      Workload workload;
+      workload.inputs = {1};
+      workload.schedule_seed = seed;
+      workload.min_quantum = shape.min_quantum;
+      workload.max_quantum = shape.max_quantum;
+      const std::string label = "quantum [" + std::to_string(shape.min_quantum) + "," +
+                                std::to_string(shape.max_quantum) + "] seed " +
+                                std::to_string(seed);
+      VmOptions unlimited;
+      unlimited.num_cores = 2;
+      const RunResult full = ExpectTiersAgree(*module, workload, unlimited, label);
+      ASSERT_TRUE(full.ok()) << label;
+      // Windows inside main's first loop and inside its last one, both solo.
+      const uint64_t windows[] = {150, full.stats.steps - 250};
+      for (const uint64_t start : windows) {
+        std::vector<uint64_t> bursts_at;  // per limit, from start on
+        for (uint64_t limit = start; limit < start + 2 * (shape.max_quantum + 3); ++limit) {
+          VmOptions capped = unlimited;
+          capped.max_steps = limit;
+          const RunResult hang =
+              ExpectTiersAgree(*module, workload, capped, label + " max_steps " +
+                                                              std::to_string(limit));
+          EXPECT_EQ(hang.failure.type, FailureType::kHang) << label << " " << limit;
+          EXPECT_EQ(hang.stats.steps, limit) << label;
+          VmOptions killed = unlimited;
+          killed.kill_after_steps = limit;
+          const RunResult kill = ExpectTiersAgree(*module, workload, killed,
+                                                  label + " kill " + std::to_string(limit));
+          EXPECT_TRUE(kill.killed) << label << " " << limit;
+          EXPECT_EQ(kill.stats.steps, limit) << label;
+          bursts_at.push_back(hang.stats.bursts);
+        }
+        // A run capped at L counts the bursts started before L, so
+        // bursts_at[i] > bursts_at[i - 1] puts a boundary at start + i - 1:
+        // the limits on it, one before it and one after it all ran above.
+        bool saw_boundary_with_neighbours = false;
+        for (size_t i = 2; i < bursts_at.size(); ++i) {
+          saw_boundary_with_neighbours |= bursts_at[i] > bursts_at[i - 1];
+        }
+        EXPECT_TRUE(saw_boundary_with_neighbours) << label << " window " << start;
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllApps, VmFastPathTest,

@@ -669,37 +669,89 @@ int CmdProfDiff(int argc, char** argv) {
   return diff.ok ? 0 : 1;
 }
 
-// Parses a flat key→number JSON object (one scalar per key, no nesting). String-valued entries like "schema" are
-// skipped. Returns false when nothing numeric parsed.
-bool ParseFlatNumberJson(const std::string& text, std::map<std::string, uint64_t>* out) {
-  size_t pos = 0;
-  while ((pos = text.find('"', pos)) != std::string::npos) {
-    const size_t key_end = text.find('"', pos + 1);
-    if (key_end == std::string::npos) {
-      break;
-    }
-    const std::string key = text.substr(pos + 1, key_end - pos - 1);
-    size_t value_pos = text.find(':', key_end);
-    if (value_pos == std::string::npos) {
-      break;
-    }
-    ++value_pos;
-    while (value_pos < text.size() && std::isspace(static_cast<unsigned char>(text[value_pos]))) {
-      ++value_pos;
-    }
-    if (value_pos < text.size() && text[value_pos] == '"') {
-      // String value (e.g. the schema tag): skip past it.
-      pos = text.find('"', value_pos + 1);
-      if (pos == std::string::npos) {
-        break;
-      }
-      ++pos;
-      continue;
-    }
-    (*out)[key] = std::strtoull(text.c_str() + value_pos, nullptr, 10);
-    pos = value_pos;
+// Returns the first position at or after `pos` that is not whitespace.
+size_t SkipSpace(const std::string& text, size_t pos) {
+  while (pos < text.size() && std::isspace(static_cast<unsigned char>(text[pos]))) {
+    ++pos;
   }
-  return !out->empty();
+  return pos;
+}
+
+// Parses the flat JSON object at `*pos` (leading whitespace allowed) and
+// moves `*pos` past its closing brace. Values are strings, which are
+// skipped, or unsigned decimal integers, which land in `*out`. Returns false
+// on anything else — a sign, a fraction, a number above UINT64_MAX, nesting,
+// or a truncated object — so a damaged journal is reported, not misread.
+bool ParseFlatNumberJson(const std::string& text, size_t* pos,
+                         std::map<std::string, uint64_t>* out) {
+  size_t i = *pos;
+  auto skip_space = [&] { i = SkipSpace(text, i); };
+  // Moves `i` past the string starting at it; its raw text (escapes kept)
+  // goes to `*value`.
+  auto read_string = [&](std::string* value) {
+    if (i >= text.size() || text[i] != '"') {
+      return false;
+    }
+    const size_t begin = ++i;
+    while (i < text.size() && text[i] != '"') {
+      i += text[i] == '\\' ? 2 : 1;
+    }
+    if (i >= text.size()) {
+      return false;
+    }
+    value->assign(text, begin, i - begin);
+    ++i;
+    return true;
+  };
+  skip_space();
+  if (i >= text.size() || text[i] != '{') {
+    return false;
+  }
+  ++i;
+  skip_space();
+  if (i < text.size() && text[i] == '}') {
+    *pos = i + 1;
+    return true;
+  }
+  while (true) {
+    std::string key;
+    skip_space();
+    if (!read_string(&key)) {
+      return false;
+    }
+    skip_space();
+    if (i >= text.size() || text[i] != ':') {
+      return false;
+    }
+    ++i;
+    skip_space();
+    if (i < text.size() && text[i] == '"') {
+      std::string ignored;
+      if (!read_string(&ignored)) {
+        return false;
+      }
+    } else {
+      const size_t number_end = text.find_first_of(",} \t\r\n", i);
+      if (number_end == std::string::npos ||
+          !ParseU64(std::string_view(text).substr(i, number_end - i), UINT64_MAX,
+                    &(*out)[key])) {
+        return false;
+      }
+      i = number_end;
+    }
+    skip_space();
+    if (i >= text.size()) {
+      return false;
+    }
+    if (text[i] == '}') {
+      *pos = i + 1;
+      return true;
+    }
+    if (text[i] != ',') {
+      return false;
+    }
+    ++i;
+  }
 }
 
 // --- `gist corpus` ----------------------------------------------------------
@@ -1079,25 +1131,33 @@ int CmdStatus(int argc, char** argv) {
   FindStringField(text, "title", 0, text.size(), &title);
   std::printf("campaign: %s\n", title.c_str());
 
+  auto malformed = [&](const char* where) {
+    std::fprintf(stderr, "error: %s is malformed: bad %s\n", path.c_str(), where);
+    return 1;
+  };
+  constexpr std::string_view kIterations = "\"iterations\": [";
+  constexpr std::string_view kStatus = "\"status\": ";
   const size_t status_pos = text.find("\"status\": {");
-  const size_t array_pos = text.find("\"iterations\": [");
-  const size_t array_end = status_pos == std::string::npos ? text.size() : status_pos;
+  const size_t array_pos = text.find(kIterations);
   std::printf("%5s %6s %6s %5s %5s %5s %5s %5s %6s %6s %6s  %s\n", "iter", "sigma", "runs",
               "fail", "succ", "lost", "quar", "dist", "churn", "cover", "surv",
               "top predictor");
-  size_t pos = array_pos == std::string::npos ? array_end : array_pos;
-  while (pos < array_end) {
-    const size_t open = text.find('{', pos);
-    if (open == std::string::npos || open >= array_end) {
+  size_t pos = array_pos == std::string::npos ? text.size() : array_pos + kIterations.size();
+  while (pos < text.size()) {
+    pos = SkipSpace(text, pos);
+    if (pos < text.size() && text[pos] == ']') {
       break;
     }
-    const size_t close = text.find('}', open);
-    if (close == std::string::npos) {
-      break;
-    }
-    const std::string object = text.substr(open, close - open + 1);
+    const size_t open = pos;
     std::map<std::string, uint64_t> row;
-    ParseFlatNumberJson(object, &row);
+    if (!ParseFlatNumberJson(text, &pos, &row)) {
+      return malformed("iteration row");
+    }
+    const std::string object = text.substr(open, pos - open);
+    pos = SkipSpace(text, pos);
+    if (pos < text.size() && text[pos] == ',') {
+      ++pos;
+    }
     std::string top_predictor;
     FindStringField(object, "top_predictor", 0, object.size(), &top_predictor);
     auto value = [&](const char* key) {
@@ -1117,20 +1177,18 @@ int CmdStatus(int argc, char** argv) {
                 static_cast<unsigned long long>(value("watch_coverage_permille")),
                 static_cast<unsigned long long>(value("survivor_permille")),
                 top_predictor.c_str());
-    pos = close + 1;
   }
 
   if (status_pos == std::string::npos) {
     std::fprintf(stderr, "error: %s has no status block\n", path.c_str());
     return 1;
   }
-  const size_t status_close = text.find('}', status_pos);
-  const std::string status =
-      text.substr(status_pos, status_close == std::string::npos
-                                  ? std::string::npos
-                                  : status_close - status_pos + 1);
+  size_t status_end = status_pos + kStatus.size();
   std::map<std::string, uint64_t> fields;
-  ParseFlatNumberJson(status, &fields);
+  if (!ParseFlatNumberJson(text, &status_end, &fields)) {
+    return malformed("status block");
+  }
+  const std::string status = text.substr(status_pos, status_end - status_pos);
   std::string trend = "unknown";
   std::string eta = "unknown";
   FindStringField(status, "trend", 0, status.size(), &trend);
