@@ -71,9 +71,10 @@ struct FailureSketch {
   // Distinct predictors scored while ranking (flight-recorder input,
   // DESIGN.md §9).
   uint32_t predictors_evaluated = 0;
-  // PT streams this build decoded (every core of each trace it read). Flight-recorder input, DESIGN.md §15: only the batch
-  // path decodes, once per core of every trace. With streaming statistics
-  // and shadow mode off a build decodes nothing, so this is 0.
+  // PT streams this build decoded into visit lists (flight-recorder input,
+  // DESIGN.md §15). Only the batch path decodes, once per core of every
+  // trace. With streaming statistics and shadow mode off a build decodes
+  // nothing, so this is 0.
   uint64_t pt_decodes = 0;
   // Traces excluded from this sketch because their PT streams would not
   // decode (server-side quarantine plus any undecodable trace handed
@@ -86,19 +87,6 @@ struct FailureSketch {
   // Statements in step order restricted to shared-memory accesses — the
   // sequence the ordering-accuracy metric compares (§5.2).
   std::vector<InstrId> SharedAccessOrder(const Module& module) const;
-};
-
-// The last per-thread program-order position at which one thread executed
-// one instruction. A thread's positions count every instruction its visits
-// retired, across cores in core order. Per-core traces carry no relative
-// order, so positions only order one thread's statements; the watchpoint
-// total order places them across threads.
-struct ExecutedPosition {
-  InstrId instr = kNoInstr;
-  ThreadId tid = kNoThread;
-  int64_t pos = 0;
-
-  bool operator==(const ExecutedPosition&) const = default;
 };
 
 // What the server keeps from one accepted failing trace (DESIGN.md §15):
@@ -115,11 +103,6 @@ struct FailingTraceSummary {
 
   bool operator==(const FailingTraceSummary&) const = default;
 };
-
-// Summarizes one trace from its decoded PT streams in one walk over their
-// visits.
-FailingTraceSummary SummarizeFailingTrace(const Module& module, size_t trace_index,
-                                          const std::vector<PtDecodeResult>& decoded);
 
 struct SketchOptions {
   double beta = kDefaultBeta;

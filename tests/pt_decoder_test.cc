@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
+#include <utility>
 #include <unordered_set>
 
 #include "src/ir/parser.h"
@@ -276,6 +278,93 @@ TEST(PtDecoderTest, OverflowMarksTraceAndStops) {
     }
   }
   EXPECT_TRUE(any_overflow);
+}
+
+// A counted loop: main:loop:2 is the loop's conditional branch.
+constexpr const char* kLoopProgram = R"(
+func main() {
+entry:
+  r0 = const 0
+  jmp ^loop
+loop:
+  r1 = const 1
+  r2 = lt r0, r1
+  br r2, ^body, ^done
+body:
+  r0 = add r0, r1
+  jmp ^loop
+done:
+  ret
+}
+)";
+
+// PSB, PIP 0, PGE main:entry:0, PGD main:loop:2, then `tail` appended; returns
+// the stream and the offset where `tail` starts.
+std::pair<std::vector<uint8_t>, size_t> StoppedWalkerStream(
+    const Module& module, const std::function<void(PtBuffer&)>& tail) {
+  const FunctionId main_fn = module.FindFunction("main");
+  const BlockId loop = module.function(main_fn).FindBlock("loop");
+  PtBuffer buffer(1 << 16);
+  buffer.AppendPsb();
+  buffer.AppendPip(0);
+  buffer.AppendPge(PtIp{main_fn, 0, 0});
+  buffer.AppendPgd(PtIp{main_fn, loop, 2});
+  const size_t tail_offset = buffer.bytes().size();
+  tail(buffer);
+  return {buffer.bytes(), tail_offset};
+}
+
+TEST(PtDecoderTest, ControlFlowAfterPgdIsProtocolFault) {
+  // Real PT emits nothing between a TIP.PGD and the next PGE
+  // (PtTracer::Disable/Enable), so a TNT, a TIP or a FUP for the walker a
+  // PGD stopped is a corrupt stream, not more control flow.
+  auto module = ParseModule(kLoopProgram);
+  ASSERT_TRUE(module.ok()) << module.error().message();
+  const FunctionId main_fn = (*module)->FindFunction("main");
+  const std::vector<std::pair<const char*, std::function<void(PtBuffer&)>>> tails = {
+      {"TNT", [](PtBuffer& b) {
+         b.AppendTnt(0b1, 1);
+         b.AppendTnt(0b0, 1);
+       }},
+      {"TIP", [&](PtBuffer& b) { b.AppendTip(PtIp{main_fn, 0, 0}); }},
+      {"FUP", [&](PtBuffer& b) { b.AppendFup(PtIp{main_fn, 0, 0}); }},
+  };
+  for (const auto& [name, tail] : tails) {
+    SCOPED_TRACE(name);
+    const auto [bytes, tail_offset] = StoppedWalkerStream(**module, tail);
+    const PtDecodeResult result = DecodePt(**module, 0, bytes);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.error->fault, PtDecodeFault::kProtocol);
+    EXPECT_EQ(result.error->offset, tail_offset);
+    // Only entry and the first pass through loop were traced.
+    EXPECT_EQ(result.trace.visits.size(), 2u);
+    EXPECT_TRUE(result.trace.branches.empty());
+    const PtStreamDigest digest = DigestPt(**module, bytes);
+    ASSERT_FALSE(digest.ok());
+    EXPECT_EQ(digest.error->offset, tail_offset);
+    const PtTraceSummary summary = SummarizePt(**module, {bytes});
+    ASSERT_FALSE(summary.cores[0].ok());
+    EXPECT_EQ(summary.cores[0].error->offset, tail_offset);
+  }
+}
+
+TEST(PtDecoderTest, PgeAfterPgdStartsAFreshWalker) {
+  auto module = ParseModule(kLoopProgram);
+  ASSERT_TRUE(module.ok()) << module.error().message();
+  const FunctionId main_fn = (*module)->FindFunction("main");
+  const BlockId loop = (*module)->function(main_fn).FindBlock("loop");
+  const auto [bytes, tail_offset] = StoppedWalkerStream(**module, [&](PtBuffer& b) {
+    b.AppendPsb();
+    b.AppendPip(0);
+    b.AppendPge(PtIp{main_fn, loop, 0});
+    b.AppendTnt(0b0, 1);  // loop exits: done
+    b.AppendTip(PtEndIp());
+  });
+  (void)tail_offset;
+  const PtDecodeResult result = DecodePt(**module, 0, bytes);
+  ASSERT_TRUE(result.ok()) << result.error->Format();
+  EXPECT_EQ(result.trace.branches.size(), 1u);
+  EXPECT_EQ(result.trace.visits.size(), 4u);  // entry, loop | loop, done
 }
 
 TEST(PtDecoderFuzzTest, RandomStreamsNeverCrash) {

@@ -15,6 +15,7 @@
 #include "src/pt/tracer.h"
 #include "src/support/rng.h"
 #include "src/vm/vm.h"
+#include "tests/summary_oracle.h"
 
 namespace gist {
 namespace {

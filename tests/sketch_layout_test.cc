@@ -25,6 +25,7 @@
 #include "src/corpus/corpus.h"
 #include "src/ir/parser.h"
 #include "src/pt/decoder.h"
+#include "tests/summary_oracle.h"
 
 namespace gist {
 namespace {
