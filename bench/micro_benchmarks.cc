@@ -12,6 +12,7 @@
 #include <memory>
 #include <optional>
 #include <string_view>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "src/analysis/slicer.h"
@@ -252,58 +253,84 @@ double MeasureStatsIncrementalUpdateNs(double min_seconds = 0.5) {
   return elapsed * 1e9 / static_cast<double>(updates);
 }
 
-// Measures raw interpreter throughput (the BM_VmInterpretationSharedDecode
-// configuration) outside the google-benchmark harness, for the JSON artifact
-// and the CI perf smoke: repeated runs until at least `min_seconds` of work.
-// `with_profiler` attaches a reused BlockProfile shard, the hot-path
-// profiler's per-run cost (DESIGN.md §10).
-double MeasureVmStepsPerSecond(bool with_profiler = false, double min_seconds = 1.0) {
-  auto app = MakeAppByName("pbzip2");
-  DecodedModule decoded(app->module());
-  BlockProfile profile;
-  Rng rng(5);
-  Workload workload = app->MakeWorkload(0, rng);
-  workload.inputs[kWorkScaleInput] = 2000;
-  // Warm-up run (page in code, fault in the module).
-  {
-    VmOptions options;
-    options.decoded = &decoded;
-    if (with_profiler) {
-      options.profile = &profile;
-    }
-    Vm(app->module(), workload, options).Run();
+// Raw interpreter throughput in the BM_VmInterpretationSharedDecode
+// configuration (pbzip2 at work scale 2000 over a shared decode), outside the
+// google-benchmark harness, for the JSON artifact and the CI perf smoke.
+// Profiled runs attach a reused BlockProfile shard, the hot-path profiler's
+// per-run cost (DESIGN.md §10).
+class VmThroughputProbe {
+ public:
+  VmThroughputProbe() : app_(MakeAppByName("pbzip2")), decoded_(app_->module()) {
+    Rng rng(5);
+    workload_ = app_->MakeWorkload(0, rng);
+    workload_.inputs[kWorkScaleInput] = 2000;
+    // Warm-up runs (page in code, fault in the module and the shard).
+    Run(/*with_profiler=*/false);
+    Run(/*with_profiler=*/true);
   }
-  uint64_t steps = 0;
-  const auto start = std::chrono::steady_clock::now();
-  double elapsed = 0.0;
-  do {
+
+  // Steps per second over repeated runs until at least `min_seconds` of work.
+  double StepsPerSecond(bool with_profiler, double min_seconds) {
+    uint64_t steps = 0;
+    const auto start = std::chrono::steady_clock::now();
+    double elapsed = 0.0;
+    do {
+      steps += Run(with_profiler);
+      elapsed = std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+    } while (elapsed < min_seconds);
+    return static_cast<double>(steps) / elapsed;
+  }
+
+ private:
+  uint64_t Run(bool with_profiler) {
     VmOptions options;
-    options.decoded = &decoded;
+    options.decoded = &decoded_;
     if (with_profiler) {
-      options.profile = &profile;
+      options.profile = &profile_;
     }
-    Vm vm(app->module(), workload, options);
-    steps += vm.Run().stats.steps;
-    elapsed = std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  } while (elapsed < min_seconds);
-  return static_cast<double>(steps) / elapsed;
-}
+    return Vm(app_->module(), workload_, options).Run().stats.steps;
+  }
+
+  std::unique_ptr<BugApp> app_;
+  DecodedModule decoded_;
+  BlockProfile profile_;
+  Workload workload_;
+};
 
 // Profiler cost as a ratio: profiled cost over unprofiled cost, i.e.
 // unprofiled throughput / profiled throughput (1.0 = free, 1.10 = 10%
-// slower). By definition the true ratio is >= 1.0 — profiling adds work,
+// slower). It is the median over kPairs alternating short off/on pairs (the
+// order flips every pair), so a slice that a shared host slows down skews one
+// pair's ratio, not the result: one 0.5 s off pass followed by one 0.5 s on
+// pass read 1.25-1.46 in four of seven runs on a loaded 4-vCPU VM with no
+// code change. By definition the true ratio is >= 1.0 — profiling adds work,
 // never removes it — so the measurement clamps there: on a noisy box the
-// profiled pass can win the timer lottery and the raw quotient dip below
-// 1.0, which would read as a nonsensical "speedup" in the committed artifact
-// (an earlier baseline recorded 0.909). The acceptance bound for DESIGN.md
-// §10 is <= 10%; the perf smoke enforces a cushioned ceiling (1.25, see the
+// profiled side can win the timer lottery and the quotient dip below 1.0,
+// which would read as a nonsensical "speedup" in the committed artifact (an
+// earlier baseline recorded 0.909). The acceptance bound for DESIGN.md §10
+// is <= 10%; the perf smoke enforces a cushioned ceiling (1.25, see the
 // gate) so a genuinely regressed hot path fails while timer jitter on loaded
 // CI boxes does not. The gate direction is one-sided: only ratios ABOVE the
 // ceiling fail.
 double MeasureProfilerOverheadRatio() {
-  const double off = MeasureVmStepsPerSecond(/*with_profiler=*/false, 0.5);
-  const double on = MeasureVmStepsPerSecond(/*with_profiler=*/true, 0.5);
-  return on > 0.0 ? std::max(1.0, off / on) : 1.0;
+  constexpr int kPairs = 9;
+  constexpr double kSliceSeconds = 0.1;
+  VmThroughputProbe probe;
+  std::vector<double> ratios;
+  for (int pair = 0; pair < kPairs; ++pair) {
+    double off = 0.0;
+    double on = 0.0;
+    if (pair % 2 == 0) {
+      off = probe.StepsPerSecond(/*with_profiler=*/false, kSliceSeconds);
+      on = probe.StepsPerSecond(/*with_profiler=*/true, kSliceSeconds);
+    } else {
+      on = probe.StepsPerSecond(/*with_profiler=*/true, kSliceSeconds);
+      off = probe.StepsPerSecond(/*with_profiler=*/false, kSliceSeconds);
+    }
+    ratios.push_back(on > 0.0 ? off / on : 1.0);
+  }
+  std::sort(ratios.begin(), ratios.end());
+  return std::max(1.0, ratios[ratios.size() / 2]);
 }
 
 // Invariant fleet counters for the CI perf gate: a small recorder-attached
@@ -428,8 +455,9 @@ std::vector<Gate> PerfSmokeGates() {
   };
   return {
       // Interpreter throughput: fail on a >30% regression.
-      {"vm_interp_steps_per_sec", [] { return MeasureVmStepsPerSecond(); }, GateKind::kFloor,
-       0.7},
+      {"vm_interp_steps_per_sec",
+       [] { return VmThroughputProbe().StepsPerSecond(/*with_profiler=*/false, 1.0); },
+       GateKind::kFloor, 0.7},
       // Hot-path profiler (DESIGN.md §10): the design target is <= 10%
       // slowdown; the ceiling allows 25%. The ratio is clamped to >= 1.0 at
       // measurement, so only slowdowns can fail.

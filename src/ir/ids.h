@@ -41,6 +41,14 @@ inline constexpr ThreadId kNoThread = std::numeric_limits<ThreadId>::max();
 using Addr = uint64_t;
 inline constexpr Addr kNullAddr = 0;
 
+// Runtime address-space layout (src/vm/memory.h): module globals occupy
+// [kGlobalsBase, kHeapBase) in declaration order, heap blocks start at
+// kHeapBase. The verifier rejects a module whose globals overrun the segment,
+// since its tail would alias the heap.
+inline constexpr Addr kGlobalsBase = 0x1000;
+inline constexpr Addr kHeapBase = 0x100000;
+inline constexpr uint64_t kMaxGlobalWords = kHeapBase - kGlobalsBase;
+
 // Machine word: every MiniIR value is a signed 64-bit integer; addresses are
 // carried in words via bit_cast-style conversion.
 using Word = int64_t;

@@ -98,6 +98,18 @@ Status VerifyModule(const Module& module) {
   if (module.num_functions() == 0) {
     return Fail("module has no functions");
   }
+  // Globals are laid out back to back from kGlobalsBase; past kHeapBase they
+  // would alias heap blocks.
+  uint64_t global_words = 0;
+  for (GlobalId g = 0; g < module.num_globals(); ++g) {
+    const GlobalVar& global = module.global(g);
+    if (global.size_words > kMaxGlobalWords - global_words) {
+      return Fail(StrFormat("global %s overruns the globals segment (%llu words)",
+                            global.name.c_str(),
+                            static_cast<unsigned long long>(kMaxGlobalWords)));
+    }
+    global_words += global.size_words;
+  }
   for (FunctionId f = 0; f < module.num_functions(); ++f) {
     const Function& function = module.function(f);
     if (function.num_blocks() == 0) {

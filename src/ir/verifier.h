@@ -15,6 +15,7 @@ namespace gist {
 //   * every function has at least one block; every block ends with exactly
 //     one terminator and contains no interior terminators;
 //   * branch/jump targets, callees, globals, and registers are in range;
+//   * the globals fit in [kGlobalsBase, kHeapBase) (kMaxGlobalWords words);
 //   * call and spawn argument counts match callee parameter counts;
 //   * instruction ids round-trip through the module's location table.
 Status VerifyModule(const Module& module);

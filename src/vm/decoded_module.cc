@@ -226,6 +226,11 @@ DecodedModule::DecodedModule(const Module& module) : module_(module) {
           GIST_CHECK_LT(instr.callee, module.num_functions())
               << "decoded " << function.name() << ": callee out of range";
         }
+        // Memory::GlobalAddr indexes unchecked.
+        if (instr.op == Opcode::kAddrOfGlobal) {
+          GIST_CHECK_LT(instr.global, module.num_globals())
+              << "decoded " << function.name() << ": global out of range";
+        }
         decoded.instrs.push_back(di);
       }
       decoded.blocks[bid] = DecodedBlock{bid, decoded.instrs.data() + offset,

@@ -29,95 +29,44 @@ Addr StaticGlobalAddr(const Module& module, GlobalId id) {
 }
 
 Memory::Memory(const Module& module) {
-  Addr next = kGlobalsBase;
+  global_addrs_.reserve(module.num_globals());
   for (GlobalId g = 0; g < module.num_globals(); ++g) {
     const GlobalVar& global = module.global(g);
-    GIST_CHECK_EQ(next, StaticGlobalAddr(module, g));
-    global_addrs_.push_back(next);
-    for (uint64_t i = 0; i < global.size_words; ++i) {
-      words_[next + i] = global.initial_value;
-    }
-    next += global.size_words;
+    GIST_CHECK_LE(global.size_words, kMaxGlobalWords - globals_.size())
+        << "global " << global.name << " overruns the globals segment";
+    global_addrs_.push_back(kGlobalsBase + globals_.size());
+    globals_.insert(globals_.end(), global.size_words, global.initial_value);
   }
-  globals_end_ = next;
-}
-
-Addr Memory::GlobalAddr(GlobalId id) const {
-  GIST_CHECK_LT(id, global_addrs_.size());
-  return global_addrs_[id];
-}
-
-const Memory::HeapBlock* Memory::FindBlock(Addr addr, Addr* base) const {
-  auto it = heap_blocks_.upper_bound(addr);
-  if (it == heap_blocks_.begin()) {
-    return nullptr;
-  }
-  --it;
-  if (addr < it->first + it->second.size_words) {
-    *base = it->first;
-    return &it->second;
-  }
-  return nullptr;
-}
-
-MemFault Memory::Check(Addr addr) const {
-  if (addr == kNullAddr) {
-    return MemFault::kNullDeref;
-  }
-  if (addr >= kGlobalsBase && addr < globals_end_) {
-    return MemFault::kOk;
-  }
-  Addr base;
-  const HeapBlock* block = FindBlock(addr, &base);
-  if (block == nullptr) {
-    return MemFault::kUnmapped;
-  }
-  return block->live ? MemFault::kOk : MemFault::kUseAfterFree;
-}
-
-MemFault Memory::Read(Addr addr, Word* out) const {
-  const MemFault fault = Check(addr);
-  if (fault != MemFault::kOk) {
-    return fault;
-  }
-  auto it = words_.find(addr);
-  *out = it == words_.end() ? 0 : it->second;
-  return MemFault::kOk;
-}
-
-MemFault Memory::Write(Addr addr, Word value) {
-  const MemFault fault = Check(addr);
-  if (fault != MemFault::kOk) {
-    return fault;
-  }
-  words_[addr] = value;
-  return MemFault::kOk;
 }
 
 Addr Memory::Alloc(uint64_t size_words) {
   GIST_CHECK_GT(size_words, 0u);
-  const Addr base = heap_next_;
-  heap_next_ += size_words + 1;  // +1 guard word so adjacent blocks never touch
-  heap_blocks_[base] = HeapBlock{size_words, /*live=*/true};
-  for (uint64_t i = 0; i < size_words; ++i) {
-    words_[base + i] = 0;
-  }
+  const uint64_t base = heap_.size();
+  // The block, then one guard word so adjacent blocks never touch.
+  heap_.resize(base + size_words + 1);
+  heap_fault_.resize(base + size_words, MemFault::kOk);
+  heap_fault_.push_back(MemFault::kUnmapped);
   words_allocated_ += size_words;
-  return base;
+  return kHeapBase + base;
 }
 
 MemFault Memory::Free(Addr addr) {
   if (addr == kNullAddr) {
     return MemFault::kNullDeref;
   }
-  auto it = heap_blocks_.find(addr);
-  if (it == heap_blocks_.end()) {
+  // Blocks are packed back to back, each behind the previous block's guard:
+  // a block base is a mapped heap word at the heap's start or after a guard.
+  uint64_t h = addr - kHeapBase;
+  if (h >= heap_fault_.size() || heap_fault_[h] == MemFault::kUnmapped ||
+      (h > 0 && heap_fault_[h - 1] != MemFault::kUnmapped)) {
     return MemFault::kInvalidFree;
   }
-  if (!it->second.live) {
+  if (heap_fault_[h] == MemFault::kUseAfterFree) {
     return MemFault::kDoubleFree;
   }
-  it->second.live = false;
+  for (; heap_fault_[h] == MemFault::kOk; ++h) {  // stops at the block's guard
+    heap_fault_[h] = MemFault::kUseAfterFree;
+  }
   return MemFault::kOk;
 }
 

@@ -1,27 +1,29 @@
 // Flat word-granular memory with a fault-detecting heap.
 //
-// Address space layout (word addresses):
-//   [0]                      null, never mapped
-//   [kGlobalsBase, ...)      module globals, laid out in declaration order
-//   [kHeapBase, ...)         bump-allocated heap blocks
+// Address space layout (word addresses; the constants live in src/ir/ids.h):
+//   [0]                          null, never mapped
+//   [kGlobalsBase, globals end)  module globals, laid out in declaration order
+//   [globals end, kHeapBase)     unmapped gap
+//   [kHeapBase, heap next)       bump-allocated heap blocks, each followed by
+//                                one unmapped guard word
 //
-// The heap never reuses addresses, so every dangling pointer access is
-// detected precisely as kUseAfterFree (the analog of running the paper's
+// Both mapped segments are dense arrays indexed by `addr - base`, so an access
+// is a range test and an index — no hashing, no tree walk (DESIGN.md §12).
+// The heap keeps one fault byte per word beside its values: the MemFault an
+// access to that word raises, kOk (live), kUseAfterFree (freed) or kUnmapped
+// (guard). The heap never reuses addresses, so every dangling pointer access
+// is detected precisely as kUseAfterFree (the analog of running the paper's
 // workloads under a crash-on-error allocator).
 
 #ifndef GIST_SRC_VM_MEMORY_H_
 #define GIST_SRC_VM_MEMORY_H_
 
-#include <map>
-#include <unordered_map>
+#include <vector>
 
 #include "src/ir/module.h"
 #include "src/vm/failure.h"
 
 namespace gist {
-
-inline constexpr Addr kGlobalsBase = 0x1000;
-inline constexpr Addr kHeapBase = 0x100000;
 
 // Outcome of a memory operation; kOk means the access went through.
 enum class MemFault : uint8_t {
@@ -43,38 +45,64 @@ Addr StaticGlobalAddr(const Module& module, GlobalId id);
 
 class Memory {
  public:
-  // Maps and initializes every global of `module`.
+  // Maps and initializes every global of `module`. The globals must fit below
+  // kHeapBase (VerifyModule rejects modules where they do not).
   explicit Memory(const Module& module);
 
-  // Word address of global `id` (its first element).
-  Addr GlobalAddr(GlobalId id) const;
+  // Word address of global `id` (its first element). Unchecked: the VM only
+  // asks for ids DecodedModule validated at decode time.
+  Addr GlobalAddr(GlobalId id) const { return global_addrs_[id]; }
 
-  MemFault Read(Addr addr, Word* out) const;
-  MemFault Write(Addr addr, Word value);
+  // Validity check without data transfer (used by lock/unlock). Addresses
+  // below a segment's base wrap to huge offsets and fail its range test.
+  MemFault Check(Addr addr) const {
+    if (addr - kGlobalsBase < globals_.size()) {
+      return MemFault::kOk;
+    }
+    if (addr - kHeapBase < heap_fault_.size()) {
+      return heap_fault_[addr - kHeapBase];
+    }
+    return addr == kNullAddr ? MemFault::kNullDeref : MemFault::kUnmapped;
+  }
 
-  // Allocates `size_words` (> 0) and zero-initializes them.
+  MemFault Read(Addr addr, Word* out) const {
+    if (addr - kGlobalsBase < globals_.size()) {
+      *out = globals_[addr - kGlobalsBase];
+      return MemFault::kOk;
+    }
+    const uint64_t h = addr - kHeapBase;
+    if (h < heap_fault_.size() && heap_fault_[h] == MemFault::kOk) {
+      *out = heap_[h];
+      return MemFault::kOk;
+    }
+    return Check(addr);
+  }
+
+  MemFault Write(Addr addr, Word value) {
+    if (addr - kGlobalsBase < globals_.size()) {
+      globals_[addr - kGlobalsBase] = value;
+      return MemFault::kOk;
+    }
+    const uint64_t h = addr - kHeapBase;
+    if (h < heap_fault_.size() && heap_fault_[h] == MemFault::kOk) {
+      heap_[h] = value;
+      return MemFault::kOk;
+    }
+    return Check(addr);
+  }
+
+  // Allocates `size_words` (> 0) and zero-initializes them. O(size_words).
   Addr Alloc(uint64_t size_words);
+  // Frees the block based at `addr`. O(block size).
   MemFault Free(Addr addr);
-
-  // Validity check without data transfer (used by lock/unlock).
-  MemFault Check(Addr addr) const;
 
   uint64_t bytes_allocated() const { return words_allocated_ * sizeof(Word); }
 
  private:
-  struct HeapBlock {
-    uint64_t size_words;
-    bool live;
-  };
-
-  // Locates the heap block covering addr, if any.
-  const HeapBlock* FindBlock(Addr addr, Addr* base) const;
-
-  std::unordered_map<Addr, Word> words_;       // backing store (sparse)
-  std::map<Addr, HeapBlock> heap_blocks_;      // by base address
-  std::vector<Addr> global_addrs_;             // GlobalId -> base address
-  Addr globals_end_ = kGlobalsBase;
-  Addr heap_next_ = kHeapBase;
+  std::vector<Word> globals_;         // word addr - kGlobalsBase
+  std::vector<Addr> global_addrs_;    // GlobalId -> base address
+  std::vector<Word> heap_;            // word addr - kHeapBase, guards included
+  std::vector<MemFault> heap_fault_;  // per heap word: kOk, kUseAfterFree or kUnmapped
   uint64_t words_allocated_ = 0;
 };
 

@@ -363,8 +363,7 @@ uint64_t Vm::StepBurst(ThreadState& thread, uint64_t max_count) {
                            full.loc.text.empty() ? OpcodeName(instr.op) : full.loc.text.c_str()));
     };
     auto emit_access = [&](Addr addr, Word value, bool is_write) {
-      ++result_.stats.mem_accesses;
-      const uint64_t seq = access_seq_++;
+      const uint64_t seq = result_.stats.mem_accesses++;
       if (!mem_observed) {
         return;
       }
@@ -706,7 +705,7 @@ uint64_t Vm::StepBurst(ThreadState& thread, uint64_t max_count) {
 // limit, the chain deopts on the spent budget and Run() runs the boundary.
 //
 // Byte identity with StepBurst is preserved op for op:
-//   * counters (mem_accesses, access_seq_, branches, block_enters, bursts,
+//   * counters (mem_accesses, branches, block_enters, bursts,
 //     context_switches, profile exec/retired/edges) take identical final
 //     values — retired is charged per quantum chunk instead of per op, which
 //     is invisible outside the run;
@@ -959,8 +958,7 @@ chunk_done:
         return executed;
       }
       regs[op->dst] = value;
-      ++result_.stats.mem_accesses;
-      const uint64_t seq = access_seq_++;
+      const uint64_t seq = result_.stats.mem_accesses++;
       if (mem_observed && (armed == nullptr || IsArmed(*armed, addr))) {
         DeliverMemAccess(
             MemAccessEvent{seq, tid, core, op->src->id, addr, value, /*is_write=*/false});
@@ -975,8 +973,7 @@ chunk_done:
         mem_fault(op, fault, addr);
         return executed;
       }
-      ++result_.stats.mem_accesses;
-      const uint64_t seq = access_seq_++;
+      const uint64_t seq = result_.stats.mem_accesses++;
       if (mem_observed && (armed == nullptr || IsArmed(*armed, addr))) {
         DeliverMemAccess(
             MemAccessEvent{seq, tid, core, op->src->id, addr, value, /*is_write=*/true});
@@ -1089,26 +1086,45 @@ chunk_done:
 // boundary at `end` itself is Run()'s: after a deopt or fault it finds the
 // quantum spent on unchanged state and runs it; at the step limit it stops
 // the run before any draw.
+//
+// The loop runs on locals — the generator, the quantum draw, the step limit
+// and the counters — written back once, so a boundary costs the two
+// generator steps of its draws plus a few register ops, with no call and no
+// store to the VM. The runnable set cannot change inside a solo stretch, so
+// one audit covers every boundary settled here.
 void Vm::SettleSoloBoundaries(uint64_t boundary, uint64_t end) {
-  while (boundary < end) {
+  if (boundary >= end) {
+    return;
+  }
+  if (AuditEnabled()) {
     AuditRunnable();
-    rng_.NextU64();  // PickNext()'s draw with one runnable thread
-    const uint64_t quantum = workload_.min_quantum + rng_.NextBelow(quantum_draw_);
-    const uint64_t burst = std::min<uint64_t>(quantum == 0 ? 1 : quantum, step_limit_ - boundary);
-    ++result_.stats.bursts;
-    owed_quantum_ = quantum - std::min(quantum, burst);
-    chain_extended_ += burst;
+  }
+  Rng rng = rng_;
+  const FixedBound quantum_draw = quantum_draw_;
+  const uint64_t min_quantum = workload_.min_quantum;
+  const uint64_t step_limit = step_limit_;
+  uint64_t bursts = 0;
+  uint64_t extended = 0;
+  uint64_t owed = 0;
+  while (boundary < end) {
+    rng.NextU64();  // PickNext()'s draw with one runnable thread
+    const uint64_t quantum = min_quantum + rng.NextBelow(quantum_draw);
+    const uint64_t burst = std::min<uint64_t>(quantum == 0 ? 1 : quantum, step_limit - boundary);
+    ++bursts;
+    owed = quantum - std::min(quantum, burst);
+    extended += burst;
     boundary += burst;
   }
+  rng_ = rng;
+  result_.stats.bursts += bursts;
+  owed_quantum_ = owed;
+  chain_extended_ += extended;
 }
 
 std::atomic<bool> Vm::audit_runnable_{false};
 std::atomic<uint64_t> Vm::runnable_audits_{0};
 
 void Vm::AuditRunnable() const {
-  if (!audit_runnable_.load(std::memory_order_relaxed)) {
-    return;
-  }
   const auto scanned = std::count_if(threads_.begin(), threads_.end(), [](const ThreadState& t) {
     return t.status == ThreadStatus::kRunnable;
   });
@@ -1118,7 +1134,9 @@ void Vm::AuditRunnable() const {
 
 ThreadId Vm::PickNext(ThreadId current) {
   ++result_.stats.picks;
-  AuditRunnable();
+  if (AuditEnabled()) {
+    AuditRunnable();
+  }
   if (runnable_ == 0) {
     return kNoThread;
   }

@@ -216,6 +216,9 @@ class Vm {
   // runnable. One draw with one runnable thread, NextBelow(runnable_) else.
   ThreadId PickNext(ThreadId current);
   // Test-only audit of runnable_ against a scan of threads_ (VmTestPeer).
+  // Callers test AuditEnabled() first, so a disabled audit costs one inline
+  // flag load.
+  static bool AuditEnabled() { return audit_runnable_.load(std::memory_order_relaxed); }
   void AuditRunnable() const;
   void RaiseFailure(ThreadState& thread, FailureType type, InstrId instr,
                     const std::string& message);
@@ -274,7 +277,6 @@ class Vm {
   std::map<Addr, Mutex> mutexes_;
   std::vector<ThreadId> core_occupant_;  // per core, for context-switch events
   RunResult result_;
-  uint64_t access_seq_ = 0;
   uint64_t unretired_steps_ = 0;  // faulting ops (RaiseFault)
   bool done_ = false;
 
@@ -314,8 +316,8 @@ class Vm {
   uint64_t chain_extended_ = 0;  // settled bursts added to the running one
 
   // Test-only (tests/vm_fastpath_test.cc, through VmTestPeer): when set,
-  // every scheduler boundary checks runnable_ against a scan of threads_
-  // and counts itself in runnable_audits_.
+  // every PickNext and every solo settle checks runnable_ against a scan of
+  // threads_ and counts itself in runnable_audits_.
   static std::atomic<bool> audit_runnable_;
   static std::atomic<uint64_t> runnable_audits_;
   friend class VmTestPeer;

@@ -164,6 +164,24 @@ TEST(ParserTest, ErrorUnknownGlobal) {
   EXPECT_FALSE(module.ok());
 }
 
+// Globals past kHeapBase would alias heap blocks: one word too many is an
+// error, not a CHECK at run time, and a segment filled exactly still parses.
+TEST(ParserTest, ErrorGlobalsOverrunTheHeap) {
+  const std::string body = "\nfunc main() {\nentry:\n  ret\n}\n";
+  const std::string full = std::to_string(kMaxGlobalWords);
+  EXPECT_TRUE(ParseModule("global big " + full + " 7" + body).ok());
+  EXPECT_TRUE(ParseModule("global a 1\nglobal big " + std::to_string(kMaxGlobalWords - 1) +
+                          body).ok());
+
+  auto module = ParseModule("global big " + std::to_string(kMaxGlobalWords + 1) + " 7" + body);
+  ASSERT_FALSE(module.ok());
+  EXPECT_NE(module.error().message().find("overruns the globals segment"), std::string::npos)
+      << module.error().message();
+  EXPECT_FALSE(ParseModule("global a 1\nglobal big " + full + body).ok());
+  // Sizes that would wrap a running sum.
+  EXPECT_FALSE(ParseModule("global a 2\nglobal b 9223372036854775807" + body).ok());
+}
+
 TEST(ParserTest, ErrorDuplicateFunction) {
   auto module = ParseModule("func f() {\nentry:\n  ret\n}\nfunc f() {\nentry:\n  ret\n}\n");
   EXPECT_FALSE(module.ok());

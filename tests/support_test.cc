@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "src/support/logging.h"
 #include "src/support/result.h"
@@ -90,6 +92,58 @@ TEST(RngTest, NextBelowCoversRange) {
     seen.insert(rng.NextBelow(5));
   }
   EXPECT_EQ(seen.size(), 5u);
+}
+
+// FixedBound::Mod is exact: quotient estimates low by one are corrected,
+// at the edges of every bound's multiples and of the 64-bit range.
+TEST(RngTest, FixedBoundModMatchesDivision) {
+  Rng rng(17);
+  std::vector<uint64_t> bounds = {2,
+                                  3,
+                                  7,
+                                  12,
+                                  13,
+                                  1000,
+                                  (uint64_t{1} << 31) - 1,
+                                  uint64_t{1} << 32,
+                                  (uint64_t{1} << 32) + 1,
+                                  (uint64_t{1} << 63) - 1,
+                                  uint64_t{1} << 63,
+                                  (uint64_t{1} << 63) + 1,
+                                  ~uint64_t{0}};
+  for (int i = 0; i < 200; ++i) {
+    bounds.push_back(2 + rng.NextU64() % 5000);
+    bounds.push_back(std::max<uint64_t>(2, rng.NextU64() >> rng.NextBelow(64)));
+  }
+  for (const uint64_t bound : bounds) {
+    const FixedBound fixed(bound);
+    std::vector<uint64_t> xs = {0, 1, bound - 1, bound, ~uint64_t{0}, ~uint64_t{0} - 1};
+    const uint64_t top = ~uint64_t{0} / bound;  // largest multiplier
+    for (int i = 0; i < 100; ++i) {
+      const uint64_t k = 1 + rng.NextU64() % top;
+      xs.push_back(k * bound);
+      xs.push_back(k * bound - 1);
+      xs.push_back(rng.NextU64());
+    }
+    for (const uint64_t x : xs) {
+      ASSERT_EQ(fixed.Mod(x), x % bound) << "x " << x << " bound " << bound;
+    }
+  }
+}
+
+// The fixed-bound draw returns NextBelow's values and consumes the same
+// generator steps, bound 1 included.
+TEST(RngTest, FixedBoundDrawMatchesNextBelow) {
+  for (const uint64_t bound : {uint64_t{1}, uint64_t{2}, uint64_t{12}, uint64_t{90},
+                               (uint64_t{1} << 63) + 1, ~uint64_t{0}}) {
+    Rng generic(bound);
+    Rng fixed(bound);
+    const FixedBound fixed_bound(bound);
+    for (int i = 0; i < 2000; ++i) {
+      ASSERT_EQ(fixed.NextBelow(fixed_bound), generic.NextBelow(bound)) << bound;
+    }
+    EXPECT_EQ(fixed.NextU64(), generic.NextU64()) << bound;
+  }
 }
 
 TEST(RngTest, NextInRangeInclusive) {

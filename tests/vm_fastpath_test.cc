@@ -20,9 +20,9 @@
 
 namespace gist {
 
-// Switches on the VM's runnable-count audit: every scheduler boundary, in
-// Run() and in a solo chain's settle, checks the count against a scan of the
-// thread table (a mismatch aborts the test binary).
+// Switches on the VM's runnable-count audit: every PickNext in Run() and
+// every solo chain's settle checks the count against a scan of the thread
+// table (a mismatch aborts the test binary).
 class VmTestPeer {
  public:
   explicit VmTestPeer() { Vm::audit_runnable_.store(true); }
