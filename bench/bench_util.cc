@@ -122,6 +122,9 @@ BreakdownResult MeasureBreakdown(const std::string& name, const FleetOptions& op
   BreakdownResult breakdown;
   FleetOptions fleet_options = options;
   fleet_options.recorder = recorder;
+  // The control-flow stage rebuilds the sketch from the raw traces, which
+  // the server retains only in shadow mode.
+  fleet_options.gist.stats_shadow = true;
   AppFleetOutcome outcome = RunAppFleet(name, fleet_options);
   const BugApp& app = *outcome.app;
   const Module& module = app.module();

@@ -376,6 +376,11 @@ struct InvariantCounters {
   // shadow off this is 0; a slide back to decode-then-summarize at ingest
   // makes it every failing stream.
   uint64_t ingest_pt_materialized = 0;
+  // RunTraces the server retained (DESIGN.md §15). Sketch builds read only
+  // the streaming statistics and the failing-trace summaries, so with shadow
+  // mode off the server keeps no trace; a slide back to storing uploads
+  // makes it every accepted run.
+  uint64_t retained_traces = 0;
 };
 
 InvariantCounters MeasureInvariantCounters() {
@@ -386,8 +391,9 @@ InvariantCounters MeasureInvariantCounters() {
   options.max_iterations = 4;
   options.recorder = &recorder;
   options.campaign = &campaign;
-  RunAppFleet("apache-2", options);
+  const AppFleetOutcome outcome = RunAppFleet("apache-2", options);
   InvariantCounters counters;
+  counters.retained_traces = outcome.traces.size();
   counters.instructions_retired = recorder.metrics().counter("vm.instructions_retired");
   counters.pt_packets_decoded = recorder.metrics().counter("pt.decode.packets");
   counters.watch_traps = recorder.metrics().counter("hw.watch.traps");
@@ -483,6 +489,8 @@ std::vector<Gate> PerfSmokeGates() {
       {"sketch_pt_decodes", counter(&InvariantCounters::sketch_pt_decodes), GateKind::kExact},
       {"ingest_pt_walks", counter(&InvariantCounters::ingest_pt_walks), GateKind::kExact},
       {"ingest_pt_materialized", counter(&InvariantCounters::ingest_pt_materialized),
+       GateKind::kExact},
+      {"server_retained_traces", counter(&InvariantCounters::retained_traces),
        GateKind::kExact},
   };
 }

@@ -116,8 +116,9 @@ int main() {
     }
     server.AdvanceAst();
   }
-  std::printf("Used %u failure recurrences across %zu traces.\n\n",
-              server.failure_recurrences(), server.trace_count());
+  std::printf("Used %u failure recurrences across %llu runs.\n\n",
+              server.failure_recurrences(),
+              static_cast<unsigned long long>(server.behavior().runs_recorded()));
 
   // --- 4. the failure sketch ------------------------------------------------
   std::printf("%s\n", RenderFailureSketch(**module, sketch).c_str());

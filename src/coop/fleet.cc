@@ -463,6 +463,7 @@ FleetResult Fleet::Run(const RootCauseCheck& root_cause_check) {
       // the server's campaign state, the latest sketch's statement sequence,
       // and the streaming statistics' predictor ranking.
       CampaignIterationSample sample;
+      FillCampaignSample(server_, &result.sketch, &sample);
       sample.iteration = stats.iteration;
       sample.sigma = stats.sigma;
       sample.virtual_end = options_.campaign->now();
@@ -473,22 +474,8 @@ FleetResult Fleet::Run(const RootCauseCheck& root_cause_check) {
       sample.retries = stats.retries;
       sample.quorum_met = stats.quorum_met;
       sample.root_cause_found = stats.root_cause_found;
-      sample.recurrences = server_.failure_recurrences();
       sample.rotation_count = snapshot.rotation_count();
-      sample.watch_instrs = static_cast<uint32_t>(server_.plan().watch_instrs.size());
       sample.watchpoint_slots = options_.gist.watchpoint_slots;
-      const GistCampaignState state = server_.CampaignState();
-      sample.slice_statements = state.slice_statements;
-      sample.window_statements = state.window_statements;
-      sample.slice_exhausted = state.slice_exhausted;
-      for (const SketchStatement& statement : result.sketch.statements) {
-        sample.sketch_statements.push_back(statement.instr);
-      }
-      const std::vector<ScoredPredictor> ranked = server_.behavior().stats().Ranked();
-      const size_t top = std::min(ranked.size(), CampaignTracker::kRankWindow);
-      for (size_t r = 0; r < top; ++r) {
-        sample.top_predictors.push_back(PredictorToString(ranked[r].predictor, module_));
-      }
       options_.campaign->RecordIteration(std::move(sample));
     }
     if (recorder != nullptr) {
@@ -543,6 +530,26 @@ FleetResult Fleet::Run(const RootCauseCheck& root_cause_check) {
     recorder->metrics().Merge(server_.metrics());
   }
   return result;
+}
+
+void FillCampaignSample(const GistServer& server, const FailureSketch* sketch,
+                        CampaignIterationSample* sample) {
+  const GistCampaignState state = server.CampaignState();
+  sample->recurrences = state.recurrences;
+  sample->slice_statements = state.slice_statements;
+  sample->window_statements = state.window_statements;
+  sample->slice_exhausted = state.slice_exhausted;
+  sample->watch_instrs = static_cast<uint32_t>(server.plan().watch_instrs.size());
+  if (sketch != nullptr) {
+    for (const SketchStatement& statement : sketch->statements) {
+      sample->sketch_statements.push_back(statement.instr);
+    }
+  }
+  const std::vector<ScoredPredictor> ranked = server.behavior().stats().Ranked();
+  const size_t top = std::min(ranked.size(), CampaignTracker::kRankWindow);
+  for (size_t r = 0; r < top; ++r) {
+    sample->top_predictors.push_back(PredictorToString(ranked[r].predictor, server.module()));
+  }
 }
 
 }  // namespace gist

@@ -40,6 +40,7 @@
 namespace gist {
 
 class CampaignTracker;
+struct CampaignIterationSample;
 class FlightRecorder;
 class HotPathProfiler;
 
@@ -184,6 +185,14 @@ class Fleet {
   FleetOptions options_;
   GistServer server_;
 };
+
+// Fills the campaign-sample fields the server determines (DESIGN.md §14):
+// recurrences and the slice and window gauges of its GistCampaignState, the
+// plan's watched-statement count, the statements of `sketch` in step order
+// (none when null) and the top CampaignTracker::kRankWindow predictors.
+// Iteration numbering, clocks and run tallies stay with the caller.
+void FillCampaignSample(const GistServer& server, const FailureSketch* sketch,
+                        CampaignIterationSample* sample);
 
 }  // namespace gist
 

@@ -69,6 +69,7 @@ void GistServer::ReportFailure(const FailureReport& report) {
   behavior_.Reset();
   discovered_.clear();
   failure_recurrences_ = 0;
+  quarantined_traces_ = 0;
   metrics_.Add("server.failures_reported");
   metrics_.Set("ast.slice_statements", static_cast<int64_t>(slice_.size()));
   Replan();
@@ -98,6 +99,20 @@ GistServer::TraceIngest GistServer::AddTrace(RunTrace trace) {
   if (trace.failed && trace.failure.MatchHash() != target_hash_) {
     *ingest_.rejected_foreign += 1;
     return TraceIngest::kRejectedForeign;  // a different bug; not our target
+  }
+
+  const auto quarantine_upload = [&] {
+    ++quarantined_traces_;
+    *ingest_.quarantined += 1;
+    return TraceIngest::kQuarantined;
+  };
+  // A client ships one stream per core, none past its PtBuffer's capacity;
+  // walking a larger upload would cost whatever its sender chose.
+  if (trace.pt_buffers.size() > options_.num_cores ||
+      std::ranges::any_of(trace.pt_buffers, [&](const std::vector<uint8_t>& bytes) {
+        return bytes.size() > options_.pt_buffer_bytes;
+      })) {
+    return quarantine_upload();
   }
 
   // Validate every PT stream before the trace influences anything. Uploads
@@ -161,30 +176,20 @@ GistServer::TraceIngest GistServer::AddTrace(RunTrace trace) {
     }
   }
   if (quarantine) {
-    ++quarantined_traces_;
-    *ingest_.quarantined += 1;
-    return TraceIngest::kQuarantined;
+    return quarantine_upload();
   }
-  *ingest_.accepted += 1;
-  ingest_.upload_bytes->Observe(upload_bytes);
 
   // Streaming statistics (DESIGN.md §14): the accepted run's predictor set
   // is extracted once right here — O(this run's distinct branch outcomes and
   // events) — and folded into the running BehaviorStats keyed by run
-  // identity, so a retried upload of an already-counted run cannot
-  // double-count.
-  behavior_.RecordRun(trace.run_id, ExtractPredictors(branch_keys, trace.watch_events),
-                      trace.failed);
-
-  if (trace.failed) {
-    ++failure_recurrences_;
-    *ingest_.recurrences += 1;
-    // Ingest-once summary (DESIGN.md §15): the executed-instruction bitset
-    // and per-thread positions are all reference-run selection and layout
-    // read, so sketch builds never decode this trace again.
-    failing_summaries_.push_back(FailingTraceSummary{
-        traces_.size(), std::move(summary.executed), std::move(summary.positions)});
+  // identity. A retried upload of an already-counted run is dropped here,
+  // before it can bump the recurrence count, add a summary or refine.
+  if (!behavior_.RecordRun(trace.run_id, ExtractPredictors(branch_keys, trace.watch_events),
+                           trace.failed)) {
+    return TraceIngest::kDuplicate;
   }
+  *ingest_.accepted += 1;
+  ingest_.upload_bytes->Observe(upload_bytes);
 
   // Data-flow refinement: watchpoint-caught statements outside the static
   // slice are added to it (the alias-analysis replacement, §3.2.3). Future
@@ -197,7 +202,18 @@ GistServer::TraceIngest GistServer::AddTrace(RunTrace trace) {
       grew = true;
     }
   }
-  traces_.push_back(std::move(trace));
+  if (stats_shadow_) {
+    traces_.push_back(trace);  // the batch recompute's input
+  }
+  if (trace.failed) {
+    ++failure_recurrences_;
+    *ingest_.recurrences += 1;
+    // Ingest-once summary (DESIGN.md §15): all that reference-run
+    // selection and layout read of this trace.
+    failing_summaries_.push_back(FailingTraceSummary{
+        std::move(summary.executed), std::move(summary.positions), std::move(trace.failure),
+        std::move(trace.watch_events)});
+  }
   if (grew) {
     Replan();
   }
@@ -213,18 +229,27 @@ PlanSnapshot GistServer::Snapshot() const {
 Result<FailureSketch> GistServer::BuildSketch() const {
   GIST_CHECK(has_target_);
   const MaterializedDecodeScope materialized(ingest_.decode_materialized);
+  uint64_t pt_decodes = 0;
+  if (stats_shadow_) {
+    // Shadow mode: the batch reduction of the retained traces must equal
+    // the ingest-time statistics and every failing summary.
+    const TraceReduction batch = ReduceTraces(module_, traces_, options_.beta);
+    pt_decodes = batch.pt_decodes;
+    GIST_CHECK(batch.behavior.Fingerprint() == behavior_.Fingerprint())
+        << "shadow mode: incremental BehaviorStats diverged from batch recompute\n--- batch:\n"
+        << batch.behavior.Fingerprint() << "--- incremental:\n" << behavior_.Fingerprint();
+    GIST_CHECK(batch.failing == failing_summaries_)
+        << "shadow mode: ingest-time failing-trace summaries differ from the batch ones";
+  }
   SketchOptions sketch_options;
-  sketch_options.beta = options_.beta;
   sketch_options.title = options_.title;
   sketch_options.discovered = &discovered_;
   sketch_options.quarantined = quarantined_traces_;
-  sketch_options.behavior = &behavior_;
-  sketch_options.failing_summaries = &failing_summaries_;
-  sketch_options.shadow_check = stats_shadow_;
-  Result<FailureSketch> sketch =
-      BuildFailureSketch(module_, plan_.window, traces_, sketch_options);
+  Result<FailureSketch> sketch = BuildFailureSketch(module_, plan_.window, behavior_.stats(),
+                                                    failing_summaries_, sketch_options);
   metrics_.Add("stats.sketch_builds");
   if (sketch.ok()) {
+    sketch->pt_decodes = pt_decodes;
     metrics_.Add("stats.predictor_evaluations",
                  static_cast<uint64_t>(sketch->predictors_evaluated));
     metrics_.Add("stats.sketch_pt_decodes", sketch->pt_decodes);

@@ -54,12 +54,10 @@ struct GistOptions {
   // DESIGN.md §12) or the reference oracle. Tier choice never changes any
   // run result or export byte outside the "engine." metrics namespace.
   ExecTier tier = ExecTier::kFast;
-  // Shadow mode for the streaming statistics (DESIGN.md §14, §15): every
-  // sketch build additionally runs the batch recompute over the stored
-  // traces and CHECK-fails unless it fingerprints byte-identically to the
-  // incremental aggregation and picks the same reference run as the
-  // ingest-time summaries. OR-ed with the GIST_STATS_SHADOW=1 environment
-  // variable.
+  // Shadow mode (DESIGN.md §14, §15): the server also retains every accepted
+  // trace, and every sketch build reduces them in batch and CHECK-fails
+  // unless that equals the ingest-time statistics and failing summaries.
+  // OR-ed with the GIST_STATS_SHADOW=1 environment variable.
   bool stats_shadow = false;
 };
 
@@ -133,27 +131,25 @@ class GistServer {
 
   // How AddTrace disposed of an upload.
   enum class TraceIngest : uint8_t {
-    kAccepted,         // stored; feeds statistics and the sketch
+    kAccepted,         // feeds statistics and the sketch
     kRejectedForeign,  // a different bug than the target; ignored
-    kQuarantined,      // arrived but failed validation; counted, never stored
+    kQuarantined,      // arrived but failed validation; counted, never used
+    kDuplicate,        // a run already accepted under the same nonzero run id
   };
 
-  // Accepts a run trace. Failing traces are kept only when their failure
-  // matches the target (program counter + stack-trace hash, §3 footnote 1);
-  // successful traces of instrumented runs are always kept.
+  // Ingests a run trace. Failing traces count only when their failure
+  // matches the target (program counter + stack-trace hash, §3 footnote 1).
+  // The server keeps what diagnosis reads, not the trace: an accepted run
+  // folds into the streaming statistics, and a failing one leaves a
+  // FailingTraceSummary (DESIGN.md §14, §15). Only shadow mode retains traces.
   //
-  // Validation (DESIGN.md §8): the server decodes every PT stream before
-  // admitting a trace. Uploads with undecodable streams — truncated or
-  // bit-corrupted in production or in transit — or with a watch event naming
-  // an instruction outside the module are quarantined: they never reach the
-  // statistics, the sketch, or the recurrence count, so one rotten trace
-  // cannot poison an iteration's diagnosis. A successful trace's streams
-  // reduce to branch-outcome digests, and a stream this plan version
-  // already walked is served from a bounded memo (DESIGN.md §16). An
-  // accepted failing trace is decoded in full and reduced to its
-  // executed-instruction bitset and per-thread positions (DESIGN.md §15),
-  // which sketch builds use to pick and lay out the reference run without
-  // re-decoding.
+  // Validation (DESIGN.md §8, §15): an upload is quarantined — it never
+  // reaches the statistics, the sketch or the recurrence count — when it has
+  // more PT streams than num_cores or one longer than pt_buffer_bytes
+  // (checked before any walk), an undecodable stream, or a watch event
+  // naming an instruction outside the module. Successful-run streams reduce
+  // to branch-outcome digests, memoized per plan version (DESIGN.md §16). A
+  // valid re-upload of an accepted nonzero run_id is dropped as kDuplicate.
   //
   // Refinement (§3.2.3): statements the watchpoints caught that the static
   // slice missed are *added to the slice* — subsequent plans track them with
@@ -164,9 +160,10 @@ class GistServer {
   const std::vector<InstrId>& discovered_instrs() const { return discovered_; }
 
   uint32_t failure_recurrences() const { return failure_recurrences_; }
+  // Accepted traces retained for the shadow check; none with shadow off.
   size_t trace_count() const { return traces_.size(); }
   const std::vector<RunTrace>& traces() const { return traces_; }
-  // Uploads quarantined by PT validation since the target was reported.
+  // Uploads quarantined by validation since the target was reported.
   uint64_t quarantined_traces() const { return quarantined_traces_; }
   // Bytes held by the ingest stream memo (DESIGN.md §16); never above
   // PtDigestMemo::kBudgetBytes.
@@ -182,8 +179,8 @@ class GistServer {
 
   Result<FailureSketch> BuildSketch() const;
 
-  // Doubles σ and recomputes the plan. Traces already collected are kept:
-  // their predictors remain valid for the statistics.
+  // Doubles σ and recomputes the plan. The statistics and summaries already
+  // collected stay: their predictors remain valid.
   void AdvanceAst();
 
   // Server-side flight-recorder counters (DESIGN.md §9): trace ingest
@@ -232,12 +229,11 @@ class GistServer {
   std::unique_ptr<AstController> ast_;
   InstrumentationPlan plan_;
   uint64_t plan_version_ = 0;
-  std::vector<RunTrace> traces_;
+  std::vector<RunTrace> traces_;  // shadow mode only
   // Digests of the successful-run streams this plan version has walked
   // (DESIGN.md §16); cleared on every replan.
   PtDigestMemo stream_memo_;
-  // One executed-set-and-positions summary per accepted failing trace, in
-  // traces_ order (DESIGN.md §15).
+  // One summary per accepted failing trace, in ingest order (DESIGN.md §15).
   std::vector<FailingTraceSummary> failing_summaries_;
   BehaviorStats behavior_;
   bool stats_shadow_ = false;

@@ -6,8 +6,6 @@
 #include <set>
 
 #include "src/pt/decoder.h"
-#include "src/support/check.h"
-#include "src/support/str.h"
 
 namespace gist {
 
@@ -69,7 +67,7 @@ std::optional<std::vector<PtDecodeResult>> DecodeTrace(const PtWalkTable& table,
 }
 
 // The reference failing run used for layout: the failing run whose PT trace
-// covers the most of the *current* window. Traces accumulate across AsT
+// covers the most of the *current* window. Summaries accumulate across AsT
 // iterations, and early-iteration runs executed under narrower plans —
 // judging them by raw watch-event counts alone would let a stale σ=2 trace
 // outrank every wider-σ recurrence forever, hiding statements the grown
@@ -77,7 +75,6 @@ std::optional<std::vector<PtDecodeResult>> DecodeTrace(const PtWalkTable& table,
 // flow, then toward the most recent run. Returns an index into `summaries`.
 std::optional<size_t> SelectReferenceRun(const Module& module,
                                          const std::vector<InstrId>& window,
-                                         const std::vector<RunTrace>& traces,
                                          const std::vector<FailingTraceSummary>& summaries) {
   InstrBitset window_bits((module.num_instructions() + 63) / 64, 0);
   for (InstrId id : window) {
@@ -93,14 +90,9 @@ std::optional<size_t> SelectReferenceRun(const Module& module,
     for (size_t word = 0; word < window_bits.size() && word < executed.size(); ++word) {
       coverage += static_cast<size_t>(std::popcount(window_bits[word] & executed[word]));
     }
-    bool better = !reference.has_value();
-    if (!better && coverage != reference_coverage) {
-      better = coverage > reference_coverage;
-    } else if (!better) {
-      better = traces[summaries[i].trace_index].watch_events.size() >=
-               traces[summaries[*reference].trace_index].watch_events.size();
-    }
-    if (better) {
+    if (!reference.has_value() || coverage > reference_coverage ||
+        (coverage == reference_coverage &&
+         summaries[i].watch_events.size() >= summaries[*reference].watch_events.size())) {
       reference = i;
       reference_coverage = coverage;
     }
@@ -110,78 +102,60 @@ std::optional<size_t> SelectReferenceRun(const Module& module,
 
 }  // namespace
 
+TraceReduction ReduceTraces(const Module& module, const std::vector<RunTrace>& traces,
+                            double beta) {
+  TraceReduction reduction{BehaviorStats(beta), {}, 0, 0};
+  PtTraceSummarizer summarizer(module);
+  for (const RunTrace& trace : traces) {
+    auto decoded = DecodeTrace(summarizer.table(), trace, &reduction.pt_decodes);
+    if (!decoded.has_value()) {
+      ++reduction.quarantined;
+      continue;
+    }
+    std::vector<std::vector<uint64_t>> keys;
+    for (const auto& result : *decoded) {
+      keys.push_back(PtBranchKeys(result.trace));
+    }
+    reduction.behavior.RecordRun(
+        trace.run_id,
+        ExtractPredictors(std::vector<std::span<const uint64_t>>(keys.begin(), keys.end()),
+                          trace.watch_events),
+        trace.failed);
+    if (trace.failed) {
+      PtTraceSummary summary = summarizer.Summarize(*decoded);
+      reduction.failing.push_back(FailingTraceSummary{std::move(summary.executed),
+                                                      std::move(summary.positions),
+                                                      trace.failure, trace.watch_events});
+    }
+  }
+  return reduction;
+}
+
 Result<FailureSketch> BuildFailureSketch(const Module& module,
                                          const std::vector<InstrId>& window,
                                          const std::vector<RunTrace>& traces,
                                          const SketchOptions& options) {
-  // Batch path (standalone, or shadow): decode every trace once into visit
-  // lists, aggregate its predictors from them, and summarize the failing
-  // ones by folding those visits, with the fold the ingest walk runs. With a
-  // maintained BehaviorStats the ranking is already aggregated and the
-  // failing traces were summarized at ingest, so no stored trace is decoded
-  // here; in shadow mode the batch path still runs and must agree with the
-  // incremental one (fingerprint, reference choice and reference summary)
-  // or the build CHECK-fails.
-  BehaviorStats batch(options.beta);
-  std::vector<FailingTraceSummary> batch_summaries;
-  const bool incremental = options.behavior != nullptr;
-  uint64_t pt_decodes = 0;
-  uint64_t quarantined = options.quarantined;
-  if (!incremental || options.shadow_check) {
-    PtTraceSummarizer summarizer(module);
-    for (size_t i = 0; i < traces.size(); ++i) {
-      const RunTrace& trace = traces[i];
-      auto decoded = DecodeTrace(summarizer.table(), trace, &pt_decodes);
-      if (!decoded.has_value()) {
-        // Corrupt upload that bypassed server ingestion: quarantine it here
-        // rather than abandoning the sketch (DESIGN.md §8).
-        ++quarantined;
-        continue;
-      }
-      std::vector<std::vector<uint64_t>> keys;
-      for (const auto& result : *decoded) {
-        keys.push_back(PtBranchKeys(result.trace));
-      }
-      batch.RecordRun(trace.run_id,
-                      ExtractPredictors(
-                          std::vector<std::span<const uint64_t>>(keys.begin(), keys.end()),
-                          trace.watch_events),
-                      trace.failed);
-      if (trace.failed) {
-        PtTraceSummary summary = summarizer.Summarize(*decoded);
-        batch_summaries.push_back(
-            FailingTraceSummary{i, std::move(summary.executed), std::move(summary.positions)});
-      }
-    }
+  const TraceReduction reduction = ReduceTraces(module, traces);
+  SketchOptions layout_options = options;
+  layout_options.quarantined += reduction.quarantined;
+  Result<FailureSketch> sketch = BuildFailureSketch(
+      module, window, reduction.behavior.stats(), reduction.failing, layout_options);
+  if (sketch.ok()) {
+    sketch->pt_decodes = reduction.pt_decodes;
   }
-  if (incremental) {
-    GIST_CHECK(options.failing_summaries != nullptr)
-        << "streaming statistics need the ingest-time failing-trace summaries";
-  }
-  const std::vector<FailingTraceSummary>& summaries =
-      incremental ? *options.failing_summaries : batch_summaries;
-  const std::optional<size_t> chosen = SelectReferenceRun(module, window, traces, summaries);
+  return sketch;
+}
+
+Result<FailureSketch> BuildFailureSketch(const Module& module,
+                                         const std::vector<InstrId>& window,
+                                         const PredictorStats& stats,
+                                         const std::vector<FailingTraceSummary>& summaries,
+                                         const SketchOptions& options) {
+  const std::optional<size_t> chosen = SelectReferenceRun(module, window, summaries);
   if (!chosen.has_value()) {
     return Error("no failing run collected yet");
   }
-  const FailingTraceSummary& summary = summaries[*chosen];
-  if (incremental && options.shadow_check) {
-    GIST_CHECK(batch.Fingerprint() == options.behavior->Fingerprint())
-        << "shadow mode: incremental BehaviorStats diverged from batch recompute\n--- batch:\n"
-        << batch.Fingerprint() << "--- incremental:\n"
-        << options.behavior->Fingerprint();
-    const std::optional<size_t> batch_chosen =
-        SelectReferenceRun(module, window, traces, batch_summaries);
-    GIST_CHECK(batch_chosen.has_value() &&
-               batch_summaries[*batch_chosen].trace_index == summary.trace_index)
-        << "shadow mode: summary-based reference run (trace " << summary.trace_index
-        << ") differs from the batch selection";
-    GIST_CHECK(batch_summaries[*batch_chosen] == summary)
-        << "shadow mode: ingest-time summary of reference trace " << summary.trace_index
-        << " differs from the batch one (executed set or positions)";
-  }
-  const PredictorStats& stats = incremental ? options.behavior->stats() : batch.stats();
-  const RunTrace* reference = &traces[summary.trace_index];
+  const FailingTraceSummary& reference = summaries[*chosen];
 
   // --- Refinement -----------------------------------------------------------
   // (a) control flow: window statements that actually executed in the
@@ -190,7 +164,7 @@ Result<FailureSketch> BuildFailureSketch(const Module& module,
   //     missed (no alias analysis), added to the sketch.
   std::set<InstrId> members;
   for (InstrId id : window) {
-    if (TestInstrBit(summary.executed, id) || id == reference->failure.failing_instr) {
+    if (TestInstrBit(reference.executed, id) || id == reference.failure.failing_instr) {
       members.insert(id);
     }
   }
@@ -198,12 +172,12 @@ Result<FailureSketch> BuildFailureSketch(const Module& module,
   if (options.discovered != nullptr) {
     discovered.insert(options.discovered->begin(), options.discovered->end());
   }
-  for (const WatchEvent& event : reference->watch_events) {
+  for (const WatchEvent& event : reference.watch_events) {
     if (members.insert(event.instr).second) {
       discovered.insert(event.instr);
     }
   }
-  members.insert(reference->failure.failing_instr);
+  members.insert(reference.failure.failing_instr);
 
   // --- Layout ---------------------------------------------------------------
   // Per-(thread, statement) entries with per-thread order positions from the
@@ -212,19 +186,19 @@ Result<FailureSketch> BuildFailureSketch(const Module& module,
 
   // Members ascend and the positions are sorted by instruction, so each
   // search starts where the previous one stopped.
-  auto position = summary.positions.begin();
+  auto position = reference.positions.begin();
   for (InstrId id : members) {
     position = std::lower_bound(
-        position, summary.positions.end(), id,
+        position, reference.positions.end(), id,
         [](const ExecutedPosition& entry, InstrId target) { return entry.instr < target; });
-    for (; position != summary.positions.end() && position->instr == id; ++position) {
+    for (; position != reference.positions.end() && position->instr == id; ++position) {
       LayoutEntry& entry = entries[{position->tid, id}];
       entry.instr = id;
       entry.tid = position->tid;
       entry.pos = position->pos;
     }
   }
-  for (const WatchEvent& event : reference->watch_events) {
+  for (const WatchEvent& event : reference.watch_events) {
     LayoutEntry& entry = entries[{event.tid, event.instr}];
     entry.instr = event.instr;
     entry.tid = event.tid;
@@ -237,9 +211,9 @@ Result<FailureSketch> BuildFailureSketch(const Module& module,
   // The failure point always appears, attributed to the failing thread.
   {
     LayoutEntry& entry =
-        entries[{reference->failure.failing_thread, reference->failure.failing_instr}];
-    entry.instr = reference->failure.failing_instr;
-    entry.tid = reference->failure.failing_thread;
+        entries[{reference.failure.failing_thread, reference.failure.failing_instr}];
+    entry.instr = reference.failure.failing_instr;
+    entry.tid = reference.failure.failing_thread;
   }
 
   // Interpolate anchors for unwatched entries: per thread, walk entries in
@@ -272,7 +246,7 @@ Result<FailureSketch> BuildFailureSketch(const Module& module,
   // deterministic tie-breaks; the failure point is forced last.
   std::vector<LayoutEntry*> ordered;
   LayoutEntry* failure_entry =
-      &entries[{reference->failure.failing_thread, reference->failure.failing_instr}];
+      &entries[{reference.failure.failing_thread, reference.failure.failing_instr}];
   for (auto& [key, entry] : entries) {
     (void)key;
     if (&entry != failure_entry) {
@@ -293,8 +267,8 @@ Result<FailureSketch> BuildFailureSketch(const Module& module,
   // --- Assemble ---------------------------------------------------------------
   FailureSketch sketch;
   sketch.title = options.title;
-  sketch.failure_type = reference->failure.type;
-  sketch.failing_instr = reference->failure.failing_instr;
+  sketch.failure_type = reference.failure.type;
+  sketch.failing_instr = reference.failure.failing_instr;
   const PredictorStats::FamilyLeaders leaders = stats.Leaders();
   sketch.best_branch = leaders.branch;
   sketch.best_value = leaders.value;
@@ -304,8 +278,7 @@ Result<FailureSketch> BuildFailureSketch(const Module& module,
   sketch.success_order = stats.BestSuccessOrderPair();
   sketch.failing_runs_used = stats.failing_runs();
   sketch.successful_runs_used = stats.successful_runs();
-  sketch.quarantined_traces = quarantined;
-  sketch.pt_decodes = pt_decodes;
+  sketch.quarantined_traces = options.quarantined;
   sketch.predictors_evaluated = static_cast<uint32_t>(stats.predictor_count());
 
   std::set<InstrId> highlighted;

@@ -6,13 +6,13 @@
 // highest-ranked failure predictors (the differences between failing and
 // successful runs).
 //
-// Construction = slice refinement + predictor statistics:
-//   1. pick the reference failing run — the one whose executed-instruction
-//      bitset (kept per failing trace at ingest, DESIGN.md §15) covers the
-//      most of the window; its bitset says which window statements actually
-//      executed (removes never-executed slice statements), and its recorded
-//      per-thread positions give their program order, so no PT stream is
-//      decoded again;
+// Construction reads predictor statistics and one FailingTraceSummary per
+// failing run, never a trace (the server reduces each upload at ingest,
+// ReduceTraces a whole trace list; DESIGN.md §15):
+//   1. pick the reference failing run — the summary whose executed-
+//      instruction bitset covers the most of the window; its bitset says
+//      which window statements executed, and its per-thread positions give
+//      their program order;
 //   2. add watchpoint-discovered statements that the alias-analysis-free
 //      static slice missed (§3.2.3);
 //   3. order statements by the watchpoint total order, interpolating
@@ -72,13 +72,13 @@ struct FailureSketch {
   // DESIGN.md §9).
   uint32_t predictors_evaluated = 0;
   // PT streams this build decoded into visit lists (flight-recorder input,
-  // DESIGN.md §15). Only the batch path decodes, once per core of every
-  // trace. With streaming statistics and shadow mode off a build decodes
-  // nothing, so this is 0.
+  // DESIGN.md §15). Only a batch reduction decodes, once per core of every
+  // trace: the RunTrace overload, or a server build in shadow mode. The
+  // layout decodes nothing, so a server build with shadow mode off reads 0.
   uint64_t pt_decodes = 0;
-  // Traces excluded from this sketch because their PT streams would not
-  // decode (server-side quarantine plus any undecodable trace handed
-  // directly to BuildFailureSketch). Purely informational: the sketch is
+  // Traces excluded from this sketch because they failed validation
+  // (server-side quarantine plus any undecodable trace handed directly to
+  // BuildFailureSketch). Purely informational: the sketch is
   // built over the surviving runs (DESIGN.md §8).
   uint64_t quarantined_traces = 0;
 
@@ -90,56 +90,58 @@ struct FailureSketch {
 };
 
 // What the server keeps from one accepted failing trace (DESIGN.md §15):
-// the set of instructions its PT streams cover, which reference-run
-// selection reads, and the last position of every executed (instruction,
-// thread) pair, which the sketch layout reads if the trace becomes the
-// reference. Together they are everything a build needs from the streams.
+// everything a sketch build reads of it. Reference-run selection reads the
+// executed set and the watch-event count; the layout reads the positions,
+// the failure report and the watch events.
 struct FailingTraceSummary {
-  size_t trace_index = 0;  // position of the trace in the list it summarizes
   InstrBitset executed;
   // One entry per executed pair, sorted by (instr, tid): grows with the
   // pairs the trace executed, not with module size.
   std::vector<ExecutedPosition> positions;
+  FailureReport failure;
+  std::vector<WatchEvent> watch_events;
 
   bool operator==(const FailingTraceSummary&) const = default;
 };
 
+// Batch reduction: every trace decoded once into visit lists, its predictors
+// aggregated and, if it failed, summarized from those visits. An undecodable
+// trace is skipped and counted, never fatal (DESIGN.md §8).
+struct TraceReduction {
+  BehaviorStats behavior;
+  std::vector<FailingTraceSummary> failing;  // in trace order
+  uint64_t quarantined = 0;
+  uint64_t pt_decodes = 0;  // streams decoded, one per core of every trace
+};
+
+TraceReduction ReduceTraces(const Module& module, const std::vector<RunTrace>& traces,
+                            double beta = kDefaultBeta);
+
 struct SketchOptions {
-  double beta = kDefaultBeta;
   std::string title;
   // Statements known to have been added to the slice by data-flow refinement
   // (GistServer::discovered_instrs); the sketch marks them '+' even after
   // they entered the tracked window.
   const std::vector<InstrId>* discovered = nullptr;
-  // Uploads the server already quarantined before `traces`; carried into
+  // Uploads quarantined before they reached the summaries; carried into
   // FailureSketch::quarantined_traces so the sketch reports the full count.
   uint64_t quarantined = 0;
-  // Streaming statistics maintained by the trace-ingest path (DESIGN.md
-  // §14). When set, the sketch ranks from this aggregation instead of
-  // re-extracting every stored trace's predictors, and picks and lays out
-  // the reference run from `failing_summaries` (which must then be set), so
-  // it decodes nothing — the caller guarantees every trace in `traces`
-  // already passed ingest validation, which GistServer does. Null keeps the
-  // batch path: decode every trace once, aggregate, and summarize the
-  // failing ones.
-  const BehaviorStats* behavior = nullptr;
-  // One summary per failing trace of `traces`, in trace order (DESIGN.md
-  // §15); read only with `behavior`.
-  const std::vector<FailingTraceSummary>* failing_summaries = nullptr;
-  // Shadow mode: with `behavior` set, ALSO run the batch path and CHECK-fail
-  // unless both aggregations fingerprint byte-identically, both pick the
-  // same reference trace, and its batch summary equals the ingest-time one
-  // (executed set and positions). The incremental path's correctness gate;
-  // tests and GIST_STATS_SHADOW=1 turn it on.
-  bool shadow_check = false;
 };
 
-// Builds a sketch from the monitored runs. `window` is the slice portion AsT
-// currently tracks; `traces` are all collected run traces (at least one
-// failing). A trace whose PT streams fail to decode is skipped — counted in
-// FailureSketch::quarantined_traces, never fatal — so one corrupt upload
-// cannot block diagnosis. Returns an error only when no failing trace
-// survives.
+// Lays out a sketch from the predictor statistics over all monitored runs
+// and the failing-trace summaries. `window` is the slice portion AsT
+// currently tracks. Reads no trace and decodes nothing (pt_decodes is 0).
+// Returns an error only when `summaries` is empty.
+Result<FailureSketch> BuildFailureSketch(const Module& module,
+                                         const std::vector<InstrId>& window,
+                                         const PredictorStats& stats,
+                                         const std::vector<FailingTraceSummary>& summaries,
+                                         const SketchOptions& options);
+
+// ReduceTraces over `traces` (all collected run traces, at least one
+// failing) at the default beta, then the layout above; the sketch counts
+// the reduction's decodes and quarantined traces. For callers that hold raw
+// traces (Fig. 10, tests).
 Result<FailureSketch> BuildFailureSketch(const Module& module,
                                          const std::vector<InstrId>& window,
                                          const std::vector<RunTrace>& traces,

@@ -112,8 +112,8 @@ class PredictorStats {
 // Determinism contract: the aggregate is a pure fold of (run_id, predictor
 // set, outcome) records and is independent of arrival order, so the
 // coordinator's run-index-order updates produce byte-identical results to a
-// batch recompute over the stored traces — Fingerprint() is the shadow
-// mode's byte-equality witness.
+// batch recompute over the traces shadow mode retains — Fingerprint() is
+// the shadow mode's byte-equality witness.
 class BehaviorStats {
  public:
   explicit BehaviorStats(double beta = kDefaultBeta) : stats_(beta) {}

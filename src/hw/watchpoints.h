@@ -35,6 +35,8 @@ struct WatchEvent {
   Addr addr = kNullAddr;
   Word value = 0;
   bool is_write = false;
+
+  bool operator==(const WatchEvent&) const = default;
 };
 
 class WatchpointUnit : public ExecutionObserver {

@@ -42,6 +42,8 @@ struct FailureReport {
   // Gist matches "the same failure across multiple executions by matching the
   // program counters and stack traces" (paper §3, footnote 1).
   uint64_t MatchHash() const;
+
+  bool operator==(const FailureReport&) const = default;
 };
 
 }  // namespace gist

@@ -80,8 +80,9 @@ CampaignFleet RunCampaignFleet(const BugApp& app, FleetOptions options) {
   out.behavior_fingerprint = fleet.server().behavior().Fingerprint();
 
   // Batch recompute, bypassing the server's streaming aggregation entirely:
-  // rebuild the final sketch from the stored traces with no BehaviorStats
-  // attached. Must agree with the incremental result byte for byte.
+  // rebuild the final sketch from the traces the server retains in shadow
+  // mode, with no BehaviorStats attached. Must agree with the incremental
+  // result byte for byte.
   const GistServer& server = fleet.server();
   SketchOptions batch_options;
   batch_options.title = app.info().name;

@@ -1,13 +1,17 @@
 // GistServer unit tests: target registration, plan lifecycle across AsT
-// iterations, refinement-into-slice semantics, and option plumbing.
+// iterations, refinement-into-slice semantics, option plumbing, and what
+// ingest admits and keeps: upload bounds, run-identity dedup, and trace
+// retention only in shadow mode.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "src/coop/wire.h"
 #include "src/core/gist.h"
 #include "src/ir/parser.h"
+#include "src/pt/decoder.h"
 
 namespace gist {
 namespace {
@@ -132,31 +136,193 @@ TEST_F(GistServerTest, RefinementAddsDiscoveredStatementsToPlans) {
   }
 }
 
-TEST_F(GistServerTest, SuccessfulTracesAlwaysKept) {
+TEST_F(GistServerTest, SuccessfulTracesCountWithoutBeingRetained) {
   GistServer server(*module_);
   server.ReportFailure(report_);
   RunTrace successful;
   successful.failed = false;
-  server.AddTrace(std::move(successful));
-  EXPECT_EQ(server.trace_count(), 1u);
+  EXPECT_EQ(server.AddTrace(std::move(successful)), GistServer::TraceIngest::kAccepted);
+  EXPECT_EQ(server.behavior().runs_recorded(), 1u);
+  EXPECT_EQ(server.trace_count(), 0u);
   EXPECT_EQ(server.failure_recurrences(), 0u);
 }
 
 TEST_F(GistServerTest, ReportResetsState) {
-  GistServer server(*module_);
+  GistOptions options;
+  options.stats_shadow = true;  // so there are retained traces to drop
+  GistServer server(*module_, options);
   server.ReportFailure(report_);
   MonitoredRun run = RunMonitored(*module_, server.plan(), Workload{}, GistOptions{}, 1);
   server.AddTrace(std::move(run.trace));
   server.AdvanceAst();
-  ASSERT_GT(server.trace_count(), 0u);
+  ASSERT_EQ(server.trace_count(), 1u);
+  ASSERT_EQ(server.behavior().runs_recorded(), 1u);
+  ASSERT_TRUE(server.BuildSketch().ok());
 
   server.ReportFailure(report_);  // re-target
   EXPECT_EQ(server.trace_count(), 0u);
+  EXPECT_EQ(server.behavior().runs_recorded(), 0u);
   EXPECT_EQ(server.failure_recurrences(), 0u);
   EXPECT_EQ(server.ast_iteration(), 0u);
   EXPECT_TRUE(server.discovered_instrs().empty());
-  // The failing-trace summaries went with the traces.
+  // The failing-trace summaries went too.
   EXPECT_FALSE(server.BuildSketch().ok());
+}
+
+TEST_F(GistServerTest, ReportResetsQuarantineCount) {
+  GistServer server(*module_);
+  server.ReportFailure(report_);
+  MonitoredRun run = RunMonitored(*module_, server.plan(), Workload{}, GistOptions{}, 1);
+  RunTrace hostile = run.trace;
+  WatchEvent bogus;
+  bogus.instr = 999999;
+  hostile.watch_events.push_back(bogus);
+  ASSERT_EQ(server.AddTrace(std::move(hostile)), GistServer::TraceIngest::kQuarantined);
+  ASSERT_EQ(server.CampaignState().quarantined, 1u);
+
+  server.ReportFailure(report_);  // re-target
+  EXPECT_EQ(server.quarantined_traces(), 0u);
+  EXPECT_EQ(server.CampaignState().quarantined, 0u);
+  ASSERT_EQ(server.AddTrace(std::move(run.trace)), GistServer::TraceIngest::kAccepted);
+  Result<FailureSketch> sketch = server.BuildSketch();
+  ASSERT_TRUE(sketch.ok());
+  EXPECT_EQ(sketch->quarantined_traces, 0u);
+}
+
+TEST_F(GistServerTest, ReshippedRunIsDroppedBeforeItCounts) {
+  GistServer server(*module_);
+  server.ReportFailure(report_);
+  MonitoredRun run = RunMonitored(*module_, server.plan(), Workload{}, GistOptions{}, 7);
+  ASSERT_FALSE(run.result.ok());
+  RunTrace again = run.trace;
+  ASSERT_EQ(server.AddTrace(std::move(run.trace)), GistServer::TraceIngest::kAccepted);
+  const std::vector<InstrId> discovered = server.discovered_instrs();
+  const uint64_t plan_version = server.plan_version();
+  Result<FailureSketch> before = server.BuildSketch();
+  ASSERT_TRUE(before.ok());
+
+  // The re-shipped copy also carries a watch event on a statement outside
+  // the slice: were it ingested, it would refine the slice and, with more
+  // watch events at equal coverage, become the reference run.
+  InstrId outside = kNoInstr;
+  for (InstrId id = 0; id < module_->num_instructions() && outside == kNoInstr; ++id) {
+    if (!server.slice().Contains(id) &&
+        std::find(discovered.begin(), discovered.end(), id) == discovered.end()) {
+      outside = id;
+    }
+  }
+  ASSERT_NE(outside, kNoInstr);
+  WatchEvent extra;
+  extra.seq = 1;
+  extra.tid = 0;
+  extra.instr = outside;
+  again.watch_events.push_back(extra);
+  EXPECT_EQ(server.AddTrace(std::move(again)), GistServer::TraceIngest::kDuplicate);
+
+  EXPECT_EQ(server.failure_recurrences(), 1u);
+  EXPECT_EQ(server.behavior().runs_recorded(), 1u);
+  EXPECT_EQ(server.behavior().duplicates_ignored(), 1u);
+  EXPECT_EQ(server.metrics().counter("server.traces.accepted"), 1u);
+  EXPECT_EQ(server.metrics().counter("server.failure_recurrences"), 1u);
+  EXPECT_EQ(server.discovered_instrs(), discovered);
+  EXPECT_EQ(server.plan_version(), plan_version);
+  Result<FailureSketch> after = server.BuildSketch();
+  ASSERT_TRUE(after.ok());
+  EXPECT_FALSE(after->Contains(outside));
+  EXPECT_EQ(RenderFailureSketch(*module_, *after), RenderFailureSketch(*module_, *before));
+}
+
+// A two-core client's failing upload, and a server bounded to exactly what
+// such a client can ship: two streams, none longer than its longest one.
+class UploadBoundTest : public GistServerTest {
+ protected:
+  void SetUp() override {
+    GistServerTest::SetUp();
+    GistOptions client;
+    client.num_cores = 2;
+    GistServer planner(*module_, client);
+    planner.ReportFailure(report_);
+    MonitoredRun run = RunMonitored(*module_, planner.plan(), Workload{}, client, 1);
+    ASSERT_FALSE(run.result.ok());
+    upload_ = std::move(run.trace);
+    ASSERT_EQ(upload_.pt_buffers.size(), 2u);
+    options_.num_cores = 2;
+    options_.pt_buffer_bytes = std::max(upload_.pt_buffers[0].size(), upload_.pt_buffers[1].size());
+    ASSERT_GT(options_.pt_buffer_bytes, 0u);
+  }
+
+  // The index of the longest stream.
+  size_t Longest() const {
+    return upload_.pt_buffers[0].size() >= upload_.pt_buffers[1].size() ? 0 : 1;
+  }
+
+  // Ingests `trace` into a fresh server; returns the disposition and, for a
+  // quarantine, checks that no stream was walked.
+  GistServer::TraceIngest Ingest(RunTrace trace) {
+    GistServer server(*module_, options_);
+    server.ReportFailure(report_);
+    const GistServer::TraceIngest ingest = server.AddTrace(std::move(trace));
+    if (ingest == GistServer::TraceIngest::kQuarantined) {
+      EXPECT_EQ(server.quarantined_traces(), 1u);
+      EXPECT_EQ(server.metrics().counter("server.traces.quarantined"), 1u);
+      EXPECT_EQ(server.metrics().counter("pt.decode.walks"), 0u);
+      EXPECT_EQ(server.failure_recurrences(), 0u);
+    }
+    return ingest;
+  }
+
+  RunTrace upload_;
+  GistOptions options_;
+};
+
+TEST_F(UploadBoundTest, StreamExactlyAtTheBufferSizeIsAccepted) {
+  EXPECT_EQ(Ingest(upload_), GistServer::TraceIngest::kAccepted);
+}
+
+TEST_F(UploadBoundTest, StreamOneByteOverTheBufferSizeIsQuarantined) {
+  RunTrace over = upload_;
+  std::vector<uint8_t>& stream = over.pt_buffers[Longest()];
+  stream.push_back(0x00);  // a PAD packet: the stream still decodes
+  ASSERT_TRUE(DigestPt(*module_, stream).ok());
+  EXPECT_EQ(Ingest(std::move(over)), GistServer::TraceIngest::kQuarantined);
+}
+
+TEST_F(UploadBoundTest, MoreStreamsThanCoresIsQuarantined) {
+  RunTrace extra = upload_;
+  extra.pt_buffers.emplace_back();  // an empty stream decodes too
+  EXPECT_EQ(Ingest(std::move(extra)), GistServer::TraceIngest::kQuarantined);
+}
+
+TEST_F(GistServerTest, RetainsTracesOnlyInShadowMode) {
+  // 10^4 accepted uploads, half failing: the server keeps their statistics
+  // and failing summaries either way, and the traces themselves only for
+  // the shadow check.
+  constexpr uint64_t kUploads = 10000;
+  std::string renders[2];
+  for (const bool shadow : {false, true}) {
+    SCOPED_TRACE(shadow ? "shadow on" : "shadow off");
+    GistOptions options;
+    options.stats_shadow = shadow;
+    GistServer server(*module_, options);
+    server.ReportFailure(report_);
+    MonitoredRun run = RunMonitored(*module_, server.plan(), Workload{}, options, 0);
+    ASSERT_FALSE(run.result.ok());
+    uint64_t accepted = 0;
+    for (uint64_t run_id = 1; run_id <= kUploads; ++run_id) {
+      RunTrace trace = run.trace;
+      trace.run_id = run_id;
+      trace.failed = run_id % 2 == 0;
+      accepted += server.AddTrace(std::move(trace)) == GistServer::TraceIngest::kAccepted;
+    }
+    ASSERT_EQ(accepted, kUploads);
+    EXPECT_EQ(server.trace_count(), shadow ? accepted : 0u);
+    EXPECT_EQ(server.behavior().runs_recorded(), kUploads);
+    EXPECT_EQ(server.failure_recurrences(), kUploads / 2);
+    Result<FailureSketch> sketch = server.BuildSketch();
+    ASSERT_TRUE(sketch.ok());
+    renders[shadow] = RenderFailureSketch(*module_, *sketch);
+  }
+  EXPECT_EQ(renders[0], renders[1]);
 }
 
 // Fills a two-core server with three failing traces.

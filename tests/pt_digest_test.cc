@@ -50,6 +50,8 @@ void CheckFleetStreams(const Module& module, const WorkloadGenerator& generator,
   options.max_iterations = 3;
   options.fleet_seed = fleet_seed;
   options.gist.title = name;
+  // The server retains the raw uploads only in shadow mode.
+  options.gist.stats_shadow = true;
   Fleet fleet(module, generator, options);
   fleet.Run([](const FailureSketch&) { return false; });
   for (const RunTrace& trace : fleet.server().traces()) {

@@ -80,11 +80,15 @@ uint64_t CheckFleetFailures(const Module& module, const WorkloadGenerator& gener
   options.max_iterations = 3;
   options.fleet_seed = fleet_seed;
   options.gist.title = name;
+  // The server retains the raw uploads only in shadow mode.
+  options.gist.stats_shadow = true;
   Fleet fleet(module, generator, options);
   fleet.Run([](const FailureSketch&) { return false; });
-  // Ingest and the incremental sketch builds summarize and digest; neither
-  // decodes a stream into visit lists.
-  EXPECT_EQ(fleet.server().metrics().counter("pt.decode.materialized"), 0u) << name;
+  // Ingest summarizes and digests; only the shadow batch pass of the sketch
+  // builds decodes streams into visit lists.
+  const MetricsRegistry& metrics = fleet.server().metrics();
+  EXPECT_EQ(metrics.counter("pt.decode.materialized"), metrics.counter("stats.sketch_pt_decodes"))
+      << name;
   PtTraceSummarizer summarizer(module);
   uint64_t checked = 0;
   for (const RunTrace& trace : fleet.server().traces()) {
@@ -553,8 +557,11 @@ TEST(HostileThreadsTest, TwoHundredThousandThreadsStayLinear) {
   }
   EXPECT_TRUE(DigestPt(*many.module, many.stream).ok());
 
-  // The same upload through the server's ingest path.
-  GistServer server(*many.module);
+  // The same upload through the server's ingest path, on a server whose
+  // clients' PT buffers are large enough to have produced it.
+  GistOptions options;
+  options.pt_buffer_bytes = many.stream.size();
+  GistServer server(*many.module, options);
   FailureReport report;
   report.type = FailureType::kSegFault;
   report.failing_instr = 6;

@@ -304,6 +304,10 @@ FleetOptions BaseOptions(uint64_t fleet_seed) {
   options.max_iterations = 6;
   options.fleet_seed = fleet_seed;
   options.jobs = 2;
+  // The oracle decodes the raw traces, which the server retains only in
+  // shadow mode; shadow mode also CHECKs every batch summary against the
+  // ingest-time one.
+  options.gist.stats_shadow = true;
   return options;
 }
 
@@ -317,9 +321,6 @@ TEST_F(SketchLayoutTest, EverySketchMatchesOracleOnAllApps) {
     SCOPED_TRACE(app->info().name);
     FleetOptions options = BaseOptions(7);
     options.gist.title = app->info().name;
-    // Shadow mode also CHECKs each reference's batch summary against the
-    // ingest-time one.
-    options.gist.stats_shadow = true;
     EXPECT_GT(CheckFleet(app->module(),
                          [&app](uint64_t run_index, Rng& rng) {
                            return app->MakeWorkload(run_index, rng);
@@ -414,21 +415,20 @@ class HandWrittenLayoutTest : public ::testing::Test {
     return trace;
   }
 
-  // Builds the sketch from a summary of `cores` (the incremental path,
-  // which decodes nothing), checks it against the oracle over the same
-  // visits, and returns it.
+  // Lays the sketch out from a summary of `cores` and the trace's failure
+  // report and watch log (the layout reads no trace and decodes nothing),
+  // checks it against the oracle over the same visits, and returns it.
   FailureSketch BuildAndCheck(const RunTrace& trace, const std::vector<DecodedCoreTrace>& cores,
                               const BehaviorStats& behavior) {
     std::vector<PtDecodeResult> decoded(cores.size());
     for (size_t i = 0; i < cores.size(); ++i) {
       decoded[i].trace = cores[i];
     }
-    const std::vector<FailingTraceSummary> summaries = {
-        SummarizeFailingTrace(*module_, 0, decoded)};
-    SketchOptions options;
-    options.behavior = &behavior;
-    options.failing_summaries = &summaries;
-    Result<FailureSketch> sketch = BuildFailureSketch(*module_, window_, {trace}, options);
+    std::vector<FailingTraceSummary> summaries = {SummarizeFailingTrace(*module_, decoded)};
+    summaries[0].failure = trace.failure;
+    summaries[0].watch_events = trace.watch_events;
+    Result<FailureSketch> sketch =
+        BuildFailureSketch(*module_, window_, behavior.stats(), summaries, SketchOptions{});
     EXPECT_TRUE(sketch.ok());
     if (!sketch.ok()) {
       return FailureSketch{};
@@ -468,8 +468,7 @@ TEST_F(HandWrittenLayoutTest, ThreadCountsRunAcrossCoresInCoreOrder) {
   std::vector<PtDecodeResult> decoded(2);
   decoded[0].trace = core0;
   decoded[1].trace = core1;
-  const FailingTraceSummary summary = SummarizeFailingTrace(*module_, 3, decoded);
-  EXPECT_EQ(summary.trace_index, 3u);
+  const FailingTraceSummary summary = SummarizeFailingTrace(*module_, decoded);
   // Thread 1's counter carries across cores: worker[4] is its 5th
   // instruction, not core 1's 3rd. Thread 0's counter skips thread 1.
   const auto position = [&](InstrId instr, ThreadId tid) -> int64_t {

@@ -28,8 +28,9 @@ inline PtStreamDigest DigestOf(const PtDecodeResult& result) {
 }
 
 // Summarizes one trace from its decoded PT streams in one walk over their
-// visits. PGD-dropped visits (first_index > last_index) count nothing.
-inline FailingTraceSummary SummarizeFailingTrace(const Module& module, size_t trace_index,
+// visits; the failure report and watch log stay empty. PGD-dropped visits
+// (first_index > last_index) count nothing.
+inline FailingTraceSummary SummarizeFailingTrace(const Module& module,
                                                  const std::vector<PtDecodeResult>& decoded) {
   std::map<ThreadId, int64_t> next;                             // per thread
   std::map<std::pair<InstrId, ThreadId>, int64_t> last;         // per executed pair
@@ -46,7 +47,6 @@ inline FailingTraceSummary SummarizeFailingTrace(const Module& module, size_t tr
     }
   }
   FailingTraceSummary summary;
-  summary.trace_index = trace_index;
   summary.executed.assign((module.num_instructions() + 63) / 64, 0);
   for (const auto& [pair, pos] : last) {
     summary.executed[pair.first / 64] |= uint64_t{1} << (pair.first % 64);
@@ -65,7 +65,7 @@ inline PtTraceSummary OracleSummary(const Module& module,
     decoded.push_back(DecodePt(module, static_cast<CoreId>(core), streams[core]));
     summary.cores.push_back(DigestOf(decoded.back()));
   }
-  FailingTraceSummary folded = SummarizeFailingTrace(module, 0, decoded);
+  FailingTraceSummary folded = SummarizeFailingTrace(module, decoded);
   summary.executed = std::move(folded.executed);
   summary.positions = std::move(folded.positions);
   return summary;

@@ -98,6 +98,28 @@ assert events, "empty trace"
 assert any(e["ph"] == "X" for e in events), "no spans in trace"
 print(f"flight recorder smoke OK: {len(metrics['counters'])} counters, {len(events)} events")
 EOF
+  # Shadow-mode metrics identity (DESIGN.md §14, §15): shadow mode retains
+  # every trace and re-reduces them at each sketch build, which must change
+  # nothing but the two counters of the decodes it adds.
+  echo "=== [release] shadow-mode metrics identity ==="
+  ./build-ci-release/gist diagnose-app sqlite --fleet-seed 3 \
+    --metrics-json build-ci-release/metrics_plain.json >/dev/null
+  GIST_STATS_SHADOW=1 ./build-ci-release/gist diagnose-app sqlite --fleet-seed 3 \
+    --metrics-json build-ci-release/metrics_shadow.json >/dev/null
+  python3 - <<'EOF'
+import json
+SHADOW_ONLY = ("pt.decode.materialized", "stats.sketch_pt_decodes")
+def load(path):
+    with open(path) as f:
+        metrics = json.load(f)
+    for key in SHADOW_ONLY:
+        metrics["counters"].pop(key)
+    return metrics
+plain = load("build-ci-release/metrics_plain.json")
+shadow = load("build-ci-release/metrics_shadow.json")
+assert plain == shadow, "shadow mode changed more than its decode counters"
+print(f"shadow-mode metrics identity OK: {len(plain['counters'])} counters")
+EOF
   # Profile schema check (DESIGN.md §10): the exported gist.profile.v1 JSON
   # must be internally consistent — the per-block retired histogram sums to
   # the totals — and every collapsed-stack line must parse as

@@ -419,34 +419,21 @@ int CmdDiagnose(const CliOptions& options) {
           ++quarantined;
           break;
         case GistServer::TraceIngest::kRejectedForeign:
+        case GistServer::TraceIngest::kDuplicate:
           break;
       }
     }
     if (options.exports.wants_campaign()) {
-      const GistCampaignState state = server.CampaignState();
+      const Result<FailureSketch> iteration_sketch = server.BuildSketch();
       CampaignIterationSample sample;
-      sample.iteration = state.iteration;
-      sample.sigma = state.sigma;
+      FillCampaignSample(server, iteration_sketch.ok() ? &*iteration_sketch : nullptr, &sample);
+      sample.iteration = server.ast_iteration();
+      sample.sigma = server.sigma();
       sample.virtual_end = campaign.now();
       sample.failing_runs = failing;
       sample.successful_runs = successful;
       sample.quarantined_runs = quarantined;
-      sample.recurrences = state.recurrences;
-      sample.watch_instrs = static_cast<uint32_t>(server.plan().watch_instrs.size());
       sample.watchpoint_slots = gist_options.watchpoint_slots;
-      sample.slice_statements = state.slice_statements;
-      sample.window_statements = state.window_statements;
-      sample.slice_exhausted = state.slice_exhausted;
-      if (Result<FailureSketch> iteration_sketch = server.BuildSketch(); iteration_sketch.ok()) {
-        for (const SketchStatement& statement : iteration_sketch->statements) {
-          sample.sketch_statements.push_back(statement.instr);
-        }
-      }
-      const std::vector<ScoredPredictor>& ranked = server.behavior().stats().Ranked();
-      const size_t top = std::min<size_t>(ranked.size(), CampaignTracker::kRankWindow);
-      for (size_t r = 0; r < top; ++r) {
-        sample.top_predictors.push_back(PredictorToString(ranked[r].predictor, **module));
-      }
       campaign.RecordIteration(std::move(sample));
     }
     if (server.ExhaustedSlice()) {
