@@ -9,14 +9,15 @@
 //   3. a developer-supplied root-cause check decides whether to stop or to
 //      double σ and keep monitoring.
 //
-// Execution engine (DESIGN.md, "Execution engine"): each iteration freezes
-// the server's plan into an immutable PlanSnapshot, fans monitored runs out
-// onto a ThreadPool (`FleetOptions::jobs` workers), and merges the resulting
-// RunTraces back into the server in run-index order on the coordinator
-// thread. Every production run draws its workload from its own generator,
-// seeded by DeriveSeed(fleet_seed, run_index), so a fleet's FleetResult is
-// bit-identical no matter how many workers execute it — parallelism is a
-// pure throughput knob.
+// Execution engine (DESIGN.md §6): each iteration freezes the server's plan
+// into an immutable PlanSnapshot, and an ordered stream on a ThreadPool
+// (`FleetOptions::jobs` workers) executes monitored runs ahead of the
+// coordinator thread, which merges them into the server one at a time in
+// run-index order. A replan, an iteration end or the first failure cancels
+// the runs executed ahead. Every production run draws its workload from its
+// own generator, seeded by DeriveSeed(fleet_seed, run_index), so a fleet's
+// FleetResult is bit-identical no matter how many workers execute it —
+// parallelism is a pure throughput knob.
 //
 // When the monitored slice needs more watchpoints than the 4 available, the
 // snapshot rotates watch subsets across clients (the cooperative strategy of
@@ -93,9 +94,9 @@ struct FleetOptions {
   FaultOptions faults;
   // Optional flight recorder (DESIGN.md §9). The fleet advances its virtual
   // clock and publishes per-run metrics on the coordinator thread, in
-  // run-index order over the CONSUMED prefix only — runs speculated past an
-  // early exit never touch it — so the recorder's metrics snapshot and span
-  // trace are bit-identical for every `jobs`, like the FleetResult itself.
+  // run-index order over the CONSUMED runs only — runs executed ahead and
+  // then cancelled never touch it — so the recorder's metrics snapshot and
+  // span trace are bit-identical for every `jobs`, like the FleetResult.
   // Null (the default) records nothing and costs nothing.
   FlightRecorder* recorder = nullptr;
   // Optional hot-path profiler (DESIGN.md §10). When set, every run — phase-1
@@ -167,11 +168,20 @@ class Fleet {
   const GistServer& server() const { return server_; }
 
  private:
+  struct ClientRun;  // one production run as the coordinator receives it
+
   // Phase 1: uninstrumented production until the target failure first
-  // manifests. Probes run in parallel; the earliest failing run index wins
-  // deterministically. Returns the next unconsumed run index via
-  // `next_run_index`.
-  void FindFirstFailure(ThreadPool& pool, FleetResult* result, uint64_t* next_run_index);
+  // manifests. Probes run ahead on the stream; the coordinator takes them in
+  // index order, so the earliest failing run index wins deterministically.
+  // Returns the next unconsumed run index via `next_run_index`.
+  void FindFirstFailure(OrderedStream<ClientRun>& stream, FleetResult* result,
+                        uint64_t* next_run_index);
+
+  // Monitored run `index` (client `client` of its iteration) under
+  // `snapshot`, delivered: faults applied, shipped over the wire and
+  // deserialized. Touches no server state, so runs execute on any thread.
+  ClientRun RunClient(const PlanSnapshot& snapshot, uint64_t client, uint64_t index,
+                      const GistOptions& gist_options) const;
 
   // The workload of production run `run_index` (its private rng stream).
   Workload WorkloadFor(uint64_t run_index) const;

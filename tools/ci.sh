@@ -207,6 +207,18 @@ EOF
     --dir build-ci-release/corpus --jobs "${JOBS}" --baseline BENCH_corpus.json \
     --log-level warning --score-json build-ci-release/corpus_score_shadow.json
   cmp build-ci-release/corpus_score.json build-ci-release/corpus_score_shadow.json
+  # Ordered run-ahead identity (DESIGN.md §6): the chaos corpus cancels
+  # run-ahead at every replan, iteration end and first failure, under every
+  # fault class; 4 workers must export exactly what 1 worker does.
+  echo "=== [release] chaos corpus jobs identity ==="
+  local jobs
+  for jobs in 1 4; do
+    ./build-ci-release/gist corpus run --seed 7933 --count 49 --chaos --jobs "${jobs}" \
+      --metrics-json "build-ci-release/chaos_metrics_j${jobs}.json" \
+      --score-json "build-ci-release/chaos_score_j${jobs}.json" >/dev/null
+  done
+  cmp build-ci-release/chaos_metrics_j1.json build-ci-release/chaos_metrics_j4.json
+  cmp build-ci-release/chaos_score_j1.json build-ci-release/chaos_score_j4.json
 }
 
 stage_tsan() {
